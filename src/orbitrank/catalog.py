@@ -125,7 +125,11 @@ def catalog(name: str, params: Sequence = ()) -> LieAlgebra:
     if name == "grelaud":
         if len(params) != 1:
             raise ValueError("grelaud takes exactly one rational parameter")
-        return builder(Fraction(str(params[0])))
+        try:
+            theta = Fraction(str(params[0]))
+        except ZeroDivisionError:
+            raise ValueError(f"grelaud parameter {params[0]!r} has a zero denominator") from None
+        return builder(theta)
     if params:
         raise ValueError(f"{name} takes no parameters")
     return builder()

@@ -720,13 +720,21 @@ def parse_filtration_json(text: str) -> FiltrationDoc:
         raise FiltrationParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict) or data.get("filtration") != 1:
         raise FiltrationParseError(1, "expected {'filtration': 1, 'nodes': [...]}")
+    raw_nodes = data.get("nodes", [])
+    if not isinstance(raw_nodes, list):
+        raise FiltrationParseError(1, "'nodes' must be a list of objects")
     nodes = []
-    for entry in data.get("nodes", []):
+    for entry in raw_nodes:
+        if not isinstance(entry, dict):
+            raise FiltrationParseError(1, "every node must be an object")
         name = entry.get("name")
         if not isinstance(name, str):
             raise FiltrationParseError(1, "every node needs a string name")
+        raw_attrs = entry.get("attrs", {})
+        if not isinstance(raw_attrs, dict):
+            raise FiltrationParseError(1, f"node {name!r}: 'attrs' must be an object")
         attrs = {}
-        for key, value in entry.get("attrs", {}).items():
+        for key, value in raw_attrs.items():
             if key not in ATTR_KEYS:
                 raise FiltrationParseError(1, f"unknown attribute {key!r}")
             if value == "unknown":
@@ -734,6 +742,8 @@ def parse_filtration_json(text: str) -> FiltrationDoc:
             attrs[key] = _check_attr(key, value, 1)
         nodes.append(FiltrationNode(name, NodeAnnotation(**attrs)))
     raw_flags = data.get("flags", {})
+    if not isinstance(raw_flags, dict):
+        raise FiltrationParseError(1, "'flags' must be an object")
     for key in raw_flags:
         if key not in FLAG_KEYS:
             raise FiltrationParseError(1, f"unknown flag {key!r}")

@@ -120,6 +120,9 @@ def parse_lie(text: str) -> LieFile:
                 name_tok, nc = rest[i + 1]
                 if not _COEFF_RE.match(coeff_tok):
                     raise LieParseError(lineno, cc, f"bad coefficient {coeff_tok!r}")
+                _, slash, den = coeff_tok.partition("/")
+                if slash and int(den) == 0:
+                    raise LieParseError(lineno, cc, f"zero denominator in coefficient {coeff_tok!r}")
                 if name_tok not in basis:
                     raise LieParseError(lineno, nc, f"undeclared basis name {name_tok!r}")
                 terms.append((Fraction(coeff_tok), name_tok))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .poly import UPoly, _frac
@@ -217,22 +219,28 @@ def inverse(m: Mat) -> Mat:
 
 
 def charpoly(m: Mat) -> UPoly:
-    """Monic characteristic polynomial det(tI - m) via Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(tI - m) via Faddeev-LeVerrier.
+
+    The recurrence runs on Python ints over one common denominator: with d
+    the lcm of the entry denominators, A = d*m is an integer matrix, so A has
+    integer coefficients c_k and every step's -tr/k divides exactly. The
+    coefficient of t^(n-k) in the result is c_k / d**k, the same exact
+    polynomial that the recurrence gives on ``Fraction`` entries.
+    """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
     if n == 0:
         return UPoly((1,))
-    coeffs = [Fraction(1)]  # c_0 = 1 for t^n, then c_1 ... c_n
-    mk = Mat.zero(n, n)
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
+    coeffs = [1]  # c_0 = 1 for t^n, then c_1 ... c_n
+    mk = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         # M_k = A (M_{k-1} + c_{k-1} I)
-        shifted = Mat.from_rows(
-            [
-                [mk.entries[i][j] + (coeffs[k - 1] if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        mk = m.mul(shifted)
-        coeffs.append(-mk.trace() / k)
-    return UPoly(list(reversed(coeffs)))
+        for i in range(n):
+            mk[i][i] += coeffs[k - 1]
+        cols = list(zip(*mk))
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        coeffs.append(-sum(mk[i][i] for i in range(n)) // k)
+    return UPoly([Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))])

@@ -8,6 +8,7 @@ returns a fresh polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 Exp = tuple[int, ...]
@@ -15,6 +16,16 @@ Exp = tuple[int, ...]
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 class MPoly:
@@ -168,20 +179,43 @@ class MPoly:
         return total
 
     def restrict_to_segment(self, start: Sequence, end: Sequence) -> "UPoly":
-        """Restriction to the line t -> start + t*(end - start) as a UPoly in t."""
+        """Restriction to the line t -> start + t*(end - start) as a UPoly in t.
+
+        The sum runs on Python ints over one common denominator each: the
+        start point is P/D and the direction Q/D, the coefficients are
+        integers over C. Each variable's powers (P_i + Q_i t)^e are built once,
+        a term of degree deg is scaled by D**(top - deg) where top is the total
+        degree, and the sum is divided by C * D**top once at the end. The
+        result is the same exact polynomial that ``Fraction`` arithmetic gives.
+        """
         if len(start) != self.nvars or len(end) != self.nvars:
             raise ValueError("segment endpoints must match the variable count")
+        if not self.terms:
+            return UPoly.zero()
         p = [_frac(x) for x in start]
-        d = [_frac(b) - a for a, b in zip(p, end)]
-        lines = [UPoly((p[i], d[i])) for i in range(self.nvars)]
-        total = UPoly.zero()
+        q = [_frac(b) - a for a, b in zip(p, end)]
+        den = lcm(*(x.denominator for x in p + q))
+        cden = lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        den_pow = [den**k for k in range(top + 1)]
+        # powers[i][e]: coefficients of (P_i + Q_i t)^e, lowest degree first
+        powers = []
+        for i in range(self.nvars):
+            line = [x.numerator * (den // x.denominator) for x in (p[i], q[i])]
+            pw = [[1]]
+            for _ in range(max(exp[i] for exp in self.terms)):
+                pw.append(_int_mul(pw[-1], line))
+            powers.append(pw)
+        total = [0] * (top + 1)
         for exp, c in self.terms.items():
-            term = UPoly((c,))
-            for line, e in zip(lines, exp):
-                for _ in range(e):
-                    term = term * line
-            total = total + term
-        return total
+            term = [c.numerator * (cden // c.denominator) * den_pow[top - sum(exp)]]
+            for pw, e in zip(powers, exp):
+                if e:
+                    term = _int_mul(term, pw[e])
+            for k, x in enumerate(term):
+                total[k] += x
+        scale = cden * den_pow[top]
+        return UPoly([Fraction(x, scale) for x in total])
 
     def render(self, names: Sequence[str]) -> str:
         """Canonical string, graded-lexicographic term order, descending."""

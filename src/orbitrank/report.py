@@ -37,10 +37,6 @@ EXIT_INPUT_ERROR = 1
 EXIT_REFUSED = 2
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _vector(v) -> list[str]:
     return [str(Fraction(x)) for x in v]
 

@@ -2,8 +2,11 @@
 
 The oracles here deliberately avoid the library's own code paths: the rank
 oracle enumerates square minors with its own determinant, and the root-count
-oracle bisects on sign changes. Where a library value is checked against an
-oracle, the oracle stays the authority.
+oracle bisects on sign changes. The two reference implementations of
+``charpoly`` and ``restrict_to_segment`` run the same algorithms as the
+library on ``Fraction`` values, where the library runs them on integers over
+a common denominator. Where a library value is checked against an oracle, the
+oracle stays the authority.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
+
+from orbitrank.linalg import Mat
+from orbitrank.poly import UPoly, _frac
 
 
 def rand_fraction(rng: random.Random, num=9, den=4) -> Fraction:
@@ -67,6 +73,44 @@ def minor_rank_oracle(rows) -> int:
                 if det_by_permutations(minor) != 0:
                     return k
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference implementations of the library's integer kernels
+
+def charpoly_reference(m: Mat) -> UPoly:
+    """Monic det(tI - m) by Faddeev-LeVerrier on Fraction entries."""
+    n = m.rows
+    if n == 0:
+        return UPoly((1,))
+    coeffs = [Fraction(1)]  # c_0 = 1 for t^n, then c_1 ... c_n
+    mk = Mat.zero(n, n)
+    for k in range(1, n + 1):
+        # M_k = A (M_{k-1} + c_{k-1} I)
+        shifted = Mat.from_rows(
+            [
+                [mk.entries[i][j] + (coeffs[k - 1] if i == j else 0) for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        mk = m.mul(shifted)
+        coeffs.append(-mk.trace() / k)
+    return UPoly(list(reversed(coeffs)))
+
+
+def restrict_to_segment_reference(poly, start, end) -> UPoly:
+    """poly along t -> start + t*(end - start), term by term in UPoly arithmetic."""
+    p = [_frac(x) for x in start]
+    d = [_frac(b) - a for a, b in zip(p, end)]
+    lines = [UPoly((p[i], d[i])) for i in range(poly.nvars)]
+    total = UPoly.zero()
+    for exp, c in poly.terms.items():
+        term = UPoly((c,))
+        for line, e in zip(lines, exp):
+            for _ in range(e):
+                term = term * line
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import FIXTURES
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -64,6 +66,38 @@ def test_analyze_bad_file_exit_1(tmp_path):
     res = run_cli("analyze", str(bad))
     assert res.returncode == 1
     assert "error:" in res.stderr
+
+
+def assert_input_error(res, *fragments):
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    for fragment in fragments:
+        assert fragment in res.stderr
+
+
+def test_analyze_zero_denominator_in_lie_file(tmp_path):
+    bad = tmp_path / "zero.lie"
+    bad.write_text("lie 1\ndim 2\nbasis X Y\n[X,Y] = 1/0 Y\n")
+    assert_input_error(run_cli("analyze", str(bad)), "line 4, column 9", "zero denominator")
+
+
+def test_analyze_zero_denominator_in_catalog_spec():
+    assert_input_error(run_cli("analyze", "catalog:grelaud:1/0"), "zero denominator")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"filtration": 1, "nodes": [1]}',
+        '{"filtration": 1, "nodes": 7}',
+        '{"filtration": 1, "nodes": [{"name": "a", "attrs": 3}]}',
+        '{"filtration": 1, "nodes": [{"name": "a"}], "flags": 5}',
+    ],
+)
+def test_infer_malformed_json_document(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert_input_error(run_cli("infer", str(path)), "line 1:")
 
 
 def test_json_bytes_deterministic():

@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import det_by_permutations
-from orbitrank.linalg import Mat, kernel_basis, rref_rank
+from helpers import charpoly_reference, det_by_permutations, restrict_to_segment_reference
+from orbitrank.linalg import Mat, charpoly, kernel_basis, rref_rank
 from orbitrank.poly import MPoly, UPoly, sym_pfaffian
 from orbitrank.sturm import sturm_root_count
 
@@ -80,3 +80,68 @@ def test_segment_restriction_matches_evaluation(p_coords, q_coords):
     for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
         point = [a + t * (b - a) for a, b in zip(p_coords, q_coords)]
         assert seg.evaluate(t) == poly.evaluate(point)
+
+
+# -- integer kernels against their Fraction references ----------------------
+
+wide_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+def square_matrices(max_n, entries):
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(square_matrices(9, wide_fractions))
+@example([])
+@example([[0] * 5 for _ in range(5)])
+@example([[Fraction(1, 999983), Fraction(-1, 10**6)], [Fraction(7, 999979), 0]])
+def test_charpoly_matches_fraction_reference(rows):
+    m = Mat.from_rows(rows)
+    assert charpoly(m) == charpoly_reference(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(square_matrices(5, fractions))
+def test_charpoly_is_det_of_t_minus_a(rows):
+    n = len(rows)
+    cp = charpoly(Mat.from_rows(rows))
+    for k in range(n + 1):
+        t = Fraction(2 * k - n, 3)
+        shifted = [[(t if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+        assert cp.evaluate(t) == det_by_permutations(shifted)
+
+
+@st.composite
+def segment_cases(draw):
+    """A polynomial (any degrees, not homogeneous) and a segment; endpoints
+    mix Fractions and ints and sometimes coincide."""
+    nvars = draw(st.integers(min_value=0, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    terms = draw(st.dictionaries(exps, wide_fractions, max_size=8))
+    coords = st.lists(
+        st.one_of(wide_fractions, st.integers(min_value=-50, max_value=50)),
+        min_size=nvars,
+        max_size=nvars,
+    )
+    start = draw(coords)
+    end = start if draw(st.booleans()) else draw(coords)
+    return MPoly(nvars, terms), start, end
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(segment_cases())
+@example((MPoly.zero(3), [1, Fraction(1, 2), 3], [0, 0, 0]))
+@example((MPoly.constant(Fraction(-7, 3), 2), [Fraction(1, 5), 2], [3, 4]))
+@example((MPoly.constant(5, 0), [], []))
+@example((MPoly(2, {(2, 1): 3, (0, 1): Fraction(1, 7), (0, 0): -2}), [1, -2], [1, -2]))
+@example((MPoly(3, {(1, 1, 1): 1, (3, 0, 0): Fraction(-2, 9)}), [1, 2, 3], [-4, 0, 5]))
+def test_segment_restriction_matches_fraction_reference(case):
+    poly, start, end = case
+    assert poly.restrict_to_segment(start, end) == restrict_to_segment_reference(poly, start, end)
