@@ -61,7 +61,7 @@ from .liealg import (
 )
 from .lieio import LieFile, LieParseError, parse_lie, parse_lie_file, render_lie, to_algebra
 from .linalg import Mat, Subspace, charpoly, det, inverse, kernel_basis, rref_rank
-from .poly import MPoly, UPoly, sym_det, sym_pfaffian
+from .poly import MPoly, UPoly, sym_pfaffian
 from .sturm import count_real_roots, sturm_root_count
 
 __version__ = "0.1.0"

@@ -5,13 +5,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .liealg import LieAlgebra, validate
+from .liealg import DIM_CAP, LieAlgebra, validate
 from .poly import _frac
+
+
+def _check_dim(family: str, dim: int) -> None:
+    if dim > DIM_CAP:
+        raise ValueError(f"{family} would have dimension {dim}, above the cap of {DIM_CAP}")
 
 
 def abelian(n: int) -> LieAlgebra:
     if n < 1:
         raise ValueError("abelian(n) needs n >= 1")
+    _check_dim("abelian", n)
     return validate(n, tuple(f"A{i + 1}" for i in range(n)), {})
 
 
@@ -22,6 +28,7 @@ def axb() -> LieAlgebra:
 def heisenberg(m: int) -> LieAlgebra:
     if m < 1:
         raise ValueError("heisenberg(m) needs m >= 1")
+    _check_dim("heisenberg", 2 * m + 1)
     if m == 1:
         names: tuple[str, ...] = ("P", "Q", "Z")
     else:
@@ -36,6 +43,7 @@ def heisenberg(m: int) -> LieAlgebra:
 def filiform(n: int) -> LieAlgebra:
     if n < 3:
         raise ValueError("filiform(n) needs n >= 3")
+    _check_dim("filiform", n)
     names = tuple(f"e{i + 1}" for i in range(n))
     table = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
     return validate(n, names, table)

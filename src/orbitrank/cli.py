@@ -9,20 +9,13 @@ import sys
 from .catalog import CATALOG, catalog_from_spec
 from .inference import Contradiction, FiltrationParseError, InvalidFiltration, infer, load_filtration
 from .liealg import LieAlgebraError
-from .lieio import LieParseError, parse_lie_file, render_lie
-from .report import EXIT_INPUT_ERROR, analyze_source, render_text, report_json
+from .lieio import LieParseError, render_lie
+from .report import EXIT_INPUT_ERROR, analyze_source, load_algebra, render_text, report_json
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INPUT_ERROR
-
-
-def _load_algebra(source: str):
-    if source.startswith("catalog:"):
-        return catalog_from_spec(source[len("catalog:") :])
-    with open(source, "r", encoding="utf-8") as fh:
-        return parse_lie_file(fh.read())
 
 
 def _write_json(payload: str, dest: str) -> None:
@@ -35,7 +28,7 @@ def _write_json(payload: str, dest: str) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        L = _load_algebra(args.path)
+        L = load_algebra(args.path)
     except (OSError, LieParseError, LieAlgebraError, ValueError) as exc:
         return _fail(str(exc))
     print(f"ok: dim {L.dim}, basis {' '.join(L.basis_names)}, "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, cached
 from .linalg import Mat, Subspace, kernel_basis, rref_rank
 from .poly import MPoly, _frac
 from .sturm import sturm_root_count
@@ -52,8 +52,9 @@ def b_matrix_at(L: LieAlgebra, xi: Sequence) -> Mat:
     return Mat.from_rows(rows)
 
 
+@cached
 def p_polynomial(L: LieAlgebra) -> MPoly:
-    """det(B_xi) as a polynomial on the dual space.
+    """det(B_xi) as a polynomial on the dual space, computed once per algebra.
 
     Computed as the square of the symbolic Pfaffian for even dimension;
     identically zero for odd dimension (skew matrices of odd size are

@@ -11,7 +11,8 @@ for any fair rule order.
 
 Three-valued guards: an annotation that is unknown never enables a rule.
 
-Rule inventory (ids appear in the trace):
+Rule inventory (ids appear in the trace; R3, R10 and R13, the two-node cases
+of R4, R11 and R14, were removed and the other ids kept):
 
   R0  single-node chain: the total algebra is its unique subquotient
   R1  commutative node, spectrum dimension d known: rr = [d, d]
@@ -19,7 +20,6 @@ Rule inventory (ids appear in the trace):
       one-point compactification, whose covering dimension is d)
   R2  separable continuous-trace node, infinite-dimensional irreducibles,
       finite-dimensional spectrum: rr <= 1
-  R3  two-node chain with an R2-type ideal: rr(total) = max of the two
   R4  chain with all nodes but the last of R2 type: rr(total) = max over nodes
   R5  spectrum sits locally closed in a metric space of known finite
       dimension: the spectrum dimension is finite
@@ -28,11 +28,9 @@ Rule inventory (ids appear in the trace):
   R7  commutative node, spectrum dimension d: tsr = [1+floor(d/2)] exactly
   R8  R2-type node (hence stable): tsr <= 2
   R9  tsr(total) >= tsr of every subquotient (iterated extension bound)
-  R10 two-node chain with R2-type ideal: tsr(total) <= max(2, tsr(quotient))
-  R11 chain version of R10: tsr(total) <= max(2, tsr(last node))
+  R11 chain with all nodes but the last of R2 type: tsr(total) <= max(2, tsr(last))
   R12 Hausdorff spectrum with no compact component: gr(node) = zero
-  R13 two-node chain, quotient gr zero: gr(total) = gr of the ideal
-  R14 chain version of R13 (all nodes after the first gr zero)
+  R14 chain with all nodes after the first gr zero: gr(total) = gr(first node)
   R15 liminary special solving series (fiber dims infinite, ..., infinite, 1):
       rr(total) = spectrum dimension of the last node
   R16 gr(total) zero and the algebra nonzero: rr(total) >= 1
@@ -49,12 +47,11 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .invariants import GroupFlags, real_rank
-from .liealg import LieAlgebra
+from .liealg import DIM_CAP, LieAlgebra
 
 INFINITE = "infinite"
 KINDS = ("continuous_trace", "commutative", "elementary", "generic")
 GR_ORDER = {"unknown": 0, "equals_first_ideal": 1, "zero": 2}
-DIM_CAP = 64  # annotated dimensions above this are rejected; keeps the lattice finite
 
 
 class InvalidFiltration(Exception):
@@ -244,7 +241,7 @@ Proposal = tuple[str, str, object, str]  # target, fact, value, note
 
 
 def _stable_hyps(ann: NodeAnnotation, facts: NodeFacts) -> bool:
-    """Hypotheses shared by R2/R8/R10/R11: separable continuous trace with
+    """Hypotheses shared by R2/R4/R8/R11: separable continuous trace with
     infinite-dimensional irreducibles and finite-dimensional spectrum."""
     return (
         ann.kind in ("continuous_trace", "elementary")
@@ -291,14 +288,6 @@ def _rule_r2(doc, table):
             yield (node.name, "rr", (None, 1), "")
 
 
-def _rule_r3(doc, table):
-    if len(doc.nodes) != 2:
-        return
-    if _stable_hyps(doc.nodes[0].ann, table.nodes[doc.nodes[0].name]):
-        value = _max_interval(table.nodes[n.name].rr for n in doc.nodes)
-        yield ("total", "rr", value, "extension max rule")
-
-
 def _rule_r4(doc, table):
     if all(_stable_hyps(n.ann, table.nodes[n.name]) for n in doc.nodes[:-1]):
         value = _max_interval(table.nodes[n.name].rr for n in doc.nodes)
@@ -343,15 +332,6 @@ def _rule_r9(doc, table):
     yield ("total", "tsr", (lo, None), "extension lower bound")
 
 
-def _rule_r10(doc, table):
-    if len(doc.nodes) != 2:
-        return
-    if _stable_hyps(doc.nodes[0].ann, table.nodes[doc.nodes[0].name]):
-        hi = table.nodes[doc.nodes[1].name].tsr.hi
-        if hi is not None:
-            yield ("total", "tsr", (None, max(2, hi)), "")
-
-
 def _rule_r11(doc, table):
     if all(_stable_hyps(n.ann, table.nodes[n.name]) for n in doc.nodes[:-1]):
         hi = table.nodes[doc.nodes[-1].name].tsr.hi
@@ -364,13 +344,6 @@ def _rule_r12(doc, table):
         ann = node.ann
         if ann.hausdorff_spectrum is True and ann.no_compact_spectrum_component is True:
             yield (node.name, "gr", "zero", "no projections over a noncompact spectrum")
-
-
-def _rule_r13(doc, table):
-    if len(doc.nodes) != 2:
-        return
-    if table.nodes[doc.nodes[1].name].gr == "zero":
-        yield ("total", "gr", "equals_first_ideal", "")
 
 
 def _rule_r14(doc, table):
@@ -421,17 +394,14 @@ RULES: tuple[tuple[str, object], ...] = (
     ("R0", _rule_r0),
     ("R1", _rule_r1),
     ("R2", _rule_r2),
-    ("R3", _rule_r3),
     ("R4", _rule_r4),
     ("R5", _rule_r5),
     ("R6", _rule_r6),
     ("R7", _rule_r7),
     ("R8", _rule_r8),
     ("R9", _rule_r9),
-    ("R10", _rule_r10),
     ("R11", _rule_r11),
     ("R12", _rule_r12),
-    ("R13", _rule_r13),
     ("R14", _rule_r14),
     ("R15", _rule_r15),
     ("R16", _rule_r16),

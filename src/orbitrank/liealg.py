@@ -3,13 +3,17 @@
 An algebra is given by exact rational structure constants on a fixed basis.
 Antisymmetry is structural (only pairs j < k are stored); the Jacobi identity
 is checked on construction, so a ``LieAlgebra`` value is always consistent.
+Facts derived from a value (its series, its open-orbit polynomial) are
+computed on first use and kept on the value, which never changes.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .linalg import Mat, Subspace, charpoly, inverse, kernel_basis
@@ -48,7 +52,9 @@ class NotSolvable(LieAlgebraError):
 
 
 Vector = tuple[Fraction, ...]
-BracketTable = dict[tuple[int, int], Vector]
+BracketTable = Mapping[tuple[int, int], Vector]
+
+DIM_CAP = 64  # largest dimension of an algebra or an annotated filtration node
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,8 @@ class LieAlgebra:
 
     dim: int
     basis_names: tuple[str, ...]
-    constants: BracketTable  # only keys (j, k) with j < k, only nonzero vectors
+    constants: BracketTable  # read-only; only keys (j, k) with j < k, only nonzero vectors
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def bracket_basis(self, j: int, k: int) -> Vector:
         """Coordinates of [X_j, X_k]."""
@@ -68,6 +75,28 @@ class LieAlgebra:
             return self.constants.get((j, k), zero)
         v = self.constants.get((k, j))
         return tuple(-x for x in v) if v else zero
+
+    def __reduce__(self):
+        # rebuild through validate: the read-only constants cannot be pickled as they are
+        return (validate, (self.dim, self.basis_names, dict(self.constants)))
+
+
+def cached(fn):
+    """Keep ``fn(L)`` on the algebra value after the first call.
+
+    Values never change, so a kept fact never goes stale. Two threads may
+    compute the same fact at once; both store the same result.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(L: LieAlgebra):
+        try:
+            return L._memo[fn]
+        except KeyError:
+            value = L._memo[fn] = fn(L)
+            return value
+
+    return wrapper
 
 
 def _coerce_vector(value, dim: int) -> Vector:
@@ -106,7 +135,10 @@ def validate(dim: int, basis_names: Sequence[str], brackets: Mapping) -> LieAlge
     ``brackets`` maps pairs (j, k) with j < k to the coordinates of
     [X_j, X_k], either as a length-``dim`` sequence or as a sparse
     {component index: coefficient} mapping. Omitted pairs bracket to zero.
+    Dimensions above ``DIM_CAP`` are rejected before anything is built.
     """
+    if dim > DIM_CAP:
+        raise LieAlgebraError(f"dimension {dim} exceeds the cap of {DIM_CAP}")
     names = tuple(basis_names)
     if len(names) != dim:
         raise IndexOutOfRange(f"{len(names)} basis names for dim {dim}")
@@ -115,7 +147,7 @@ def validate(dim: int, basis_names: Sequence[str], brackets: Mapping) -> LieAlge
         if name in seen:
             raise DuplicateBasisName(name)
         seen.add(name)
-    table: BracketTable = {}
+    table: dict[tuple[int, int], Vector] = {}
     for key, value in brackets.items():
         j, k = int(key[0]), int(key[1])
         if not (0 <= j < dim and 0 <= k < dim):
@@ -125,7 +157,7 @@ def validate(dim: int, basis_names: Sequence[str], brackets: Mapping) -> LieAlge
         vec = _coerce_vector(value, dim)
         if any(vec):
             table[(j, k)] = vec
-    L = LieAlgebra(dim, names, table)
+    L = LieAlgebra(dim, names, MappingProxyType(table))
     unit = [tuple(Fraction(1 if i == t else 0) for i in range(dim)) for t in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -147,7 +179,7 @@ def span_brackets(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_spanning(vectors, L.dim)
 
 
-def _series(L: LieAlgebra, step) -> list[Subspace]:
+def _series(L: LieAlgebra, step) -> tuple[Subspace, ...]:
     current = Subspace.full(L.dim)
     out = [current]
     while True:
@@ -155,17 +187,19 @@ def _series(L: LieAlgebra, step) -> list[Subspace]:
         if nxt.dim == current.dim:
             if current.dim != 0:
                 out.append(nxt)
-            return out
+            return tuple(out)
         out.append(nxt)
         current = nxt
 
 
-def derived_series(L: LieAlgebra) -> list[Subspace]:
+@cached
+def derived_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     """g, [g,g], [[g,g],[g,g]], ... until the dimension stabilizes."""
     return _series(L, lambda s: span_brackets(L, s, s))
 
 
-def lower_central_series(L: LieAlgebra) -> list[Subspace]:
+@cached
+def lower_central_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     full = Subspace.full(L.dim)
     return _series(L, lambda s: span_brackets(L, full, s))
 
@@ -179,8 +213,8 @@ def is_nilpotent(L: LieAlgebra) -> bool:
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    full = Subspace.full(L.dim)
-    return span_brackets(L, full, full)
+    series = derived_series(L)
+    return series[1] if len(series) > 1 else series[0]  # dim 0 has a one-term series
 
 
 def abelianization_dim(L: LieAlgebra) -> int:

@@ -277,10 +277,6 @@ class UPoly:
     def constant(cls, value) -> "UPoly":
         return cls((value,))
 
-    @classmethod
-    def monomial(cls, coeff, degree: int) -> "UPoly":
-        return cls((0,) * degree + (coeff,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -416,39 +412,6 @@ def squarefree_part(p: UPoly) -> UPoly:
     if g.degree() <= 0:
         return p
     return exact_div(p, g)
-
-
-def sym_det(m: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Determinant of a square matrix of polynomials by cofactor expansion.
-
-    Intended for cross checks at small sizes; the Pfaffian route is the
-    production path for skew matrices.
-    """
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    nvars = m[0][0].nvars
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-
-    def det_rec(rows: list[int], cols: list[int]) -> MPoly:
-        if len(rows) == 1:
-            return m[rows[0]][cols[0]]
-        total = MPoly.zero(nvars)
-        r0 = rows[0]
-        rest = rows[1:]
-        for i, c in enumerate(cols):
-            entry = m[r0][c]
-            if entry.is_zero():
-                continue
-            sub = det_rec(rest, cols[:i] + cols[i + 1 :])
-            term = entry * sub
-            total = total + (term if i % 2 == 0 else -term)
-        return total
-
-    idx = list(range(n))
-    return det_rec(idx, idx)
 
 
 def sym_pfaffian(m: Sequence[Sequence[MPoly]]) -> MPoly:

@@ -23,14 +23,8 @@ from .invariants import (
     rr_upper_bound_nonsimply_connected,
     stable_rank,
 )
-from .liealg import (
-    ExponentialityVerdict,
-    LieAlgebra,
-    exponentiality_check,
-    is_solvable,
-    structure_report,
-)
-from .lieio import render_bracket_terms
+from .liealg import ExponentialityVerdict, LieAlgebra, exponentiality_check, structure_report
+from .lieio import parse_lie_file, render_bracket_terms
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -77,9 +71,8 @@ def analyze_algebra(
         "center_dim": st.center_dim,
     }
 
-    solvable = is_solvable(L)
     verdict: ExponentialityVerdict | None = None
-    if not solvable:
+    if not st.solvable:
         report["exponentiality"] = {"refused": {"reason": "NotSolvable"}}
         refused = True
     elif assume_exponential:
@@ -189,16 +182,17 @@ def analyze_algebra(
     return report, EXIT_REFUSED if refused else EXIT_OK
 
 
+def load_algebra(source: str) -> LieAlgebra:
+    """Build the algebra named by a .lie file path or a catalog:<name>[:<params>] pseudo-path."""
+    if source.startswith("catalog:"):
+        return catalog_from_spec(source[len("catalog:") :])
+    with open(source, "r", encoding="utf-8") as fh:
+        return parse_lie_file(fh.read())
+
+
 def analyze_source(source: str, **options) -> tuple[dict, int]:
     """Analyze a .lie file path or a catalog:<name>[:<params>] pseudo-path."""
-    from .lieio import parse_lie_file
-
-    if source.startswith("catalog:"):
-        L = catalog_from_spec(source[len("catalog:") :])
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            L = parse_lie_file(fh.read())
-    return analyze_algebra(L, **options)
+    return analyze_algebra(load_algebra(source), **options)
 
 
 def report_json(report) -> str:

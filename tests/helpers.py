@@ -6,7 +6,9 @@ oracle bisects on sign changes. The two reference implementations of
 ``charpoly`` and ``restrict_to_segment`` run the same algorithms as the
 library on ``Fraction`` values, where the library runs them on integers over
 a common denominator. Where a library value is checked against an oracle, the
-oracle stays the authority.
+oracle stays the authority. ``sym_det`` is a cofactor-expansion cross-check
+for the library's Pfaffian route, and ``SUBSUMED_RULES`` keeps three
+inference rules that the engine dropped because other rules subsume them.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
+from orbitrank.inference import _max_interval, _stable_hyps
 from orbitrank.linalg import Mat
-from orbitrank.poly import UPoly, _frac
+from orbitrank.poly import MPoly, UPoly, _frac
 
 
 def rand_fraction(rng: random.Random, num=9, den=4) -> Fraction:
@@ -73,6 +77,38 @@ def minor_rank_oracle(rows) -> int:
                 if det_by_permutations(minor) != 0:
                     return k
     return 0
+
+
+def sym_det(m: Sequence[Sequence[MPoly]]) -> MPoly:
+    """Determinant of a square matrix of polynomials by cofactor expansion.
+
+    A cross-check at small sizes; the library squares the Pfaffian instead.
+    """
+    n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
+    nvars = m[0][0].nvars
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+
+    def det_rec(rows: list[int], cols: list[int]) -> MPoly:
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        total = MPoly.zero(nvars)
+        r0 = rows[0]
+        rest = rows[1:]
+        for i, c in enumerate(cols):
+            entry = m[r0][c]
+            if entry.is_zero():
+                continue
+            sub = det_rec(rest, cols[:i] + cols[i + 1 :])
+            term = entry * sub
+            total = total + (term if i % 2 == 0 else -term)
+        return total
+
+    idx = list(range(n))
+    return det_rec(idx, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +277,38 @@ def bisection_root_count(coeffs, a, b, grid=4096, tol=Fraction(1, 2**20)) -> int
             count += refine(prev_x, x, prev_f, f)
         prev_x, prev_f = x, f
     return count
+
+
+# ---------------------------------------------------------------------------
+# inference rules subsumed by R4, R11 and R14 (their two-node cases)
+
+def _rule_r3(doc, table):
+    if len(doc.nodes) != 2:
+        return
+    if _stable_hyps(doc.nodes[0].ann, table.nodes[doc.nodes[0].name]):
+        value = _max_interval(table.nodes[n.name].rr for n in doc.nodes)
+        yield ("total", "rr", value, "extension max rule")
+
+
+def _rule_r10(doc, table):
+    if len(doc.nodes) != 2:
+        return
+    if _stable_hyps(doc.nodes[0].ann, table.nodes[doc.nodes[0].name]):
+        hi = table.nodes[doc.nodes[1].name].tsr.hi
+        if hi is not None:
+            yield ("total", "tsr", (None, max(2, hi)), "")
+
+
+def _rule_r13(doc, table):
+    if len(doc.nodes) != 2:
+        return
+    if table.nodes[doc.nodes[1].name].gr == "zero":
+        yield ("total", "gr", "equals_first_ideal", "")
+
+
+SUBSUMED_RULES = (("R3", _rule_r3), ("R10", _rule_r10), ("R13", _rule_r13))
+
+
+def with_subsumed_rules(rules):
+    """The rule list with R3, R10 and R13 back in their numbered places."""
+    return tuple(sorted(list(rules) + list(SUBSUMED_RULES), key=lambda r: int(r[0][1:])))

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import FIXTURES
-from helpers import bisection_root_count, rand_matrix, rand_skew
+from helpers import bisection_root_count, rand_matrix, rand_skew, sym_det
 from orbitrank.catalog import abelian, axb, direct_sum, e2, filiform, grelaud, heisenberg, oscillator, sl2
 from orbitrank.coadjoint import (
     b_matrix_sym,
@@ -28,7 +28,7 @@ from orbitrank.invariants import (
 )
 from orbitrank.liealg import NotSolvable, change_basis, exponentiality_check
 from orbitrank.linalg import Mat, det
-from orbitrank.poly import MPoly, UPoly, sym_det, sym_pfaffian
+from orbitrank.poly import MPoly, UPoly, sym_pfaffian
 from orbitrank.report import analyze_algebra
 from orbitrank.sturm import sturm_root_count
 

@@ -85,6 +85,18 @@ def test_analyze_zero_denominator_in_catalog_spec():
     assert_input_error(run_cli("analyze", "catalog:grelaud:1/0"), "zero denominator")
 
 
+def test_analyze_lie_file_above_dimension_cap(tmp_path):
+    big = tmp_path / "big.lie"
+    big.write_text("lie 1\ndim 65\nbasis X\n")
+    assert_input_error(run_cli("analyze", str(big)), "line 2, column 5", "[0, 64]")
+
+
+@pytest.mark.parametrize("spec", ["catalog:abelian:65", "catalog:heisenberg:32"])
+def test_analyze_catalog_spec_above_dimension_cap(spec):
+    assert_input_error(run_cli("analyze", spec), "above the cap of 64")
+    assert_input_error(run_cli("validate", spec), "above the cap of 64")
+
+
 @pytest.mark.parametrize(
     "doc",
     [

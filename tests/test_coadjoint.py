@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from helpers import rand_matrix
+from helpers import rand_matrix, sym_det
 from orbitrank.catalog import abelian, axb, direct_sum, e2, filiform, grelaud, heisenberg, oscillator
 from orbitrank.coadjoint import (
     b_matrix_at,
@@ -13,7 +13,7 @@ from orbitrank.coadjoint import (
 )
 from orbitrank.liealg import change_basis
 from orbitrank.linalg import Mat, det
-from orbitrank.poly import MPoly, sym_det
+from orbitrank.poly import MPoly
 
 
 def names(L):

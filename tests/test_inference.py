@@ -1,8 +1,13 @@
 import os
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from helpers import with_subsumed_rules
+from orbitrank import inference
 from orbitrank.catalog import abelian, axb, direct_sum, filiform, grelaud, heisenberg
 from orbitrank.inference import (
     INFINITE,
@@ -23,7 +28,7 @@ from orbitrank.inference import (
 from orbitrank.invariants import GroupFlags, real_rank, stable_rank
 from orbitrank.liealg import exponentiality_check
 
-RULE_IDS = [f"R{i}" for i in range(19)]
+RULE_IDS = [rid for rid, _ in inference.RULES]
 
 
 def load(name):
@@ -100,7 +105,7 @@ class TestEngineBasics:
         assert not any(e.rule == "R17" for e in table.trace)
         # without the compacts facts the lower bounds stay loose
         assert table.tsr_interval() == (1, 2)
-        assert table.rr_interval() == (1, 1)  # still closed through R2/R3
+        assert table.rr_interval() == (1, 1)  # still closed through R2/R4
 
     def test_contradiction_on_inconsistent_annotations(self):
         # dim-0 compactified spectrum forces rr = 0, while a projection-free
@@ -213,6 +218,66 @@ class TestFixpointContracts:
                     assert new_lo >= old_lo
                     if old_hi is not None:
                         assert new_hi is not None and new_hi <= old_hi
+
+
+_UNKNOWN_BOOL = st.sampled_from([None, True, False])
+_SMALL_DIM = st.sampled_from([None, 0, 1, 2, 3])
+# fields each kind fixes; left unknown here so that normalization fills them
+_IMPLIED = {
+    "elementary": dict(
+        irreps_infinite_dim=None, spectrum_dim=None, spectrum_compact=None,
+        hausdorff_spectrum=None, separable=None, no_compact_spectrum_component=None,
+        fiber_dim=None,
+    ),
+    "commutative": dict(irreps_infinite_dim=None, hausdorff_spectrum=None, fiber_dim=None),
+}
+
+_annotations = st.builds(
+    NodeAnnotation,
+    kind=st.sampled_from(inference.KINDS),
+    spectrum_dim=_SMALL_DIM,
+    spectrum_compact=_UNKNOWN_BOOL,
+    irreps_infinite_dim=_UNKNOWN_BOOL,
+    hausdorff_spectrum=_UNKNOWN_BOOL,
+    no_compact_spectrum_component=_UNKNOWN_BOOL,
+    separable=_UNKNOWN_BOOL,
+    fiber_dim=st.sampled_from([None, 1, 2, INFINITE]),
+    ambient_dim=_SMALL_DIM,
+).map(lambda ann: replace(ann, **_IMPLIED.get(ann.kind, {})))
+
+_documents = st.builds(
+    lambda anns, flags: FiltrationDoc(
+        tuple(FiltrationNode(f"n{i}", ann) for i, ann in enumerate(anns)), flags
+    ),
+    # an even spread of node counts: the subsumed rules fire only on two nodes
+    st.integers(1, 3).flatmap(lambda n: st.lists(_annotations, min_size=n, max_size=n)),
+    st.builds(
+        AlgebraFlags,
+        liminary=_UNKNOWN_BOOL,
+        group_derived=st.booleans(),
+        is_real_line_group=st.booleans(),
+    ),
+)
+
+
+def _fixpoint(doc):
+    try:
+        return infer(doc).snapshot()
+    except Contradiction:
+        return "contradiction"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_documents)
+def test_subsumed_rules_change_no_fixpoint(doc):
+    """R3, R10 and R13 were the two-node cases of R4, R11 and R14: putting
+    them back changes no fixpoint (nor whether one exists) on 500 sampled
+    1-, 2- and 3-node documents."""
+    without = _fixpoint(doc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "RULES", with_subsumed_rules(inference.RULES))
+        restored = _fixpoint(doc)
+    assert restored == without
 
 
 class TestDeriveGroupFiltration:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,10 +18,14 @@ from orbitrank.catalog import (
     oscillator,
     sl2,
 )
+from orbitrank import poly
+from orbitrank.coadjoint import p_polynomial
 from orbitrank.liealg import (
+    DIM_CAP,
     DuplicateBasisName,
     IndexOutOfRange,
     JacobiViolation,
+    LieAlgebraError,
     NotSolvable,
     abelianization_dim,
     ad_matrix,
@@ -32,10 +37,13 @@ from orbitrank.liealg import (
     exponentiality_check,
     is_nilpotent,
     is_solvable,
+    lower_central_series,
     structure_report,
     validate,
 )
+from orbitrank.lieio import parse_lie
 from orbitrank.linalg import Mat, det
+from orbitrank.report import analyze_algebra
 
 
 def rand_gl(rng, n):
@@ -272,3 +280,53 @@ class TestCatalogAndSums:
             catalog("nosuch")
         with pytest.raises(ValueError):
             catalog("axb", [1])
+
+
+class TestFactsComputedOnce:
+    def test_analyze_computes_the_pfaffian_once(self, monkeypatch):
+        real = poly.sym_pfaffian
+        calls = []
+
+        def counting(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(poly, "sym_pfaffian", counting)
+        analyze_algebra(direct_sum(axb(), axb()), samples=5)
+        assert calls == [4]
+
+    def test_constants_are_read_only(self):
+        L = axb()
+        with pytest.raises(TypeError):
+            L.constants[(0, 1)] = (Fraction(0), Fraction(2))
+        assert L.constants[(0, 1)] == (Fraction(0), Fraction(1))
+
+    def test_series_are_tuples(self):
+        L = heisenberg(1)
+        assert isinstance(derived_series(L), tuple)
+        assert isinstance(lower_central_series(L), tuple)
+        assert derived_series(L) is derived_series(L)
+
+    def test_pickle_round_trip_after_caching(self):
+        L = heisenberg(1)
+        derived_series(L)
+        copy = pickle.loads(pickle.dumps(L))
+        assert copy == L and copy.constants == L.constants
+        assert derived_series(copy) == derived_series(L)
+
+    def test_cached_facts_do_not_affect_equality(self):
+        cached, fresh = direct_sum(axb(), axb()), direct_sum(axb(), axb())
+        derived_series(cached)
+        lower_central_series(cached)
+        p_polynomial(cached)
+        assert cached == fresh and fresh == cached
+        assert repr(cached) == repr(fresh)
+
+    def test_dimension_cap(self):
+        with pytest.raises(LieAlgebraError, match="cap"):
+            validate(DIM_CAP + 1, (), {})
+        names = " ".join(f"e{i}" for i in range(DIM_CAP))
+        assert parse_lie(f"lie 1\ndim {DIM_CAP}\nbasis {names}\n").dim == DIM_CAP
+        for family, param in (("abelian", 65), ("heisenberg", 32), ("filiform", 65)):
+            with pytest.raises(ValueError, match="cap"):
+                catalog(family, [param])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import det_by_permutations, rand_skew
+from helpers import det_by_permutations, rand_skew, sym_det
 from orbitrank.poly import (
     MPoly,
     UPoly,
@@ -11,7 +11,6 @@ from orbitrank.poly import (
     poly_gcd,
     primitive_part,
     squarefree_part,
-    sym_det,
     sym_pfaffian,
 )
 
