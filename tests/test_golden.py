@@ -36,6 +36,7 @@ CASES = [
     ("fixture_axb", 0, [os.path.join(FIXTURES, "axb.lie")]),
     ("dense_axb2", 0, [os.path.join(GOLDEN, "dense_axb2.lie"), "--samples", "20"]),
     ("dense_axb3", 0, [os.path.join(GOLDEN, "dense_axb3.lie"), "--samples", "6"]),
+    ("dense_axb4", 0, [os.path.join(GOLDEN, "dense_axb4.lie"), "--samples", "2"]),
 ]
 
 
