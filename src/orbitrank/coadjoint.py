@@ -56,16 +56,15 @@ def b_matrix_at(L: LieAlgebra, xi: Sequence) -> Mat:
 def p_polynomial(L: LieAlgebra) -> MPoly:
     """det(B_xi) as a polynomial on the dual space, computed once per algebra.
 
-    Computed as the square of the symbolic Pfaffian for even dimension;
-    identically zero for odd dimension (skew matrices of odd size are
-    singular).
+    Computed for even dimension as Pf(xi)**2, the symbolic Pfaffian squared
+    once on Python ints by ``MPoly.square``; identically zero for odd
+    dimension (skew matrices of odd size are singular).
     """
     from .poly import sym_pfaffian
 
     if L.dim % 2 == 1:
         return MPoly.zero(L.dim)
-    pf = sym_pfaffian(b_matrix_sym(L))
-    return pf * pf
+    return sym_pfaffian(b_matrix_sym(L)).square()
 
 
 def has_open_orbits(L: LieAlgebra) -> bool:

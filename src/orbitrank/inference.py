@@ -725,11 +725,19 @@ def parse_filtration_json(text: str) -> FiltrationDoc:
         nodes=tuple(nodes),
         flags=AlgebraFlags(
             liminary=liminary,
-            group_derived=bool(raw_flags.get("group_derived", False)),
-            is_real_line_group=bool(raw_flags.get("real_line", False)),
+            group_derived=_json_flag(raw_flags, "group_derived"),
+            is_real_line_group=_json_flag(raw_flags, "real_line"),
         ),
     )
     return normalize_doc(doc)
+
+
+def _json_flag(raw_flags: dict, key: str) -> bool:
+    """A two-valued flag: JSON true or false, false when absent."""
+    value = raw_flags.get(key, False)
+    if not isinstance(value, bool):
+        raise FiltrationParseError(1, f"flag {key!r} must be true or false, got {json.dumps(value)}")
+    return value
 
 
 def load_filtration(path: str) -> FiltrationDoc:

@@ -3,7 +3,7 @@
 Grammar (tokens separated by whitespace, '#' starts a comment):
 
     lie 1
-    dim <n>                      (0 <= n <= DIM_CAP = 64)
+    dim <n>                      (1 <= n <= DIM_CAP = 64)
     basis <name> ... <name>
     [A,B] = c1 N1 + c2 N2 ...
 
@@ -74,8 +74,8 @@ def parse_lie(text: str) -> LieFile:
                 dim = int(toks[1][0])
             except ValueError:
                 raise LieParseError(lineno, toks[1][1], "dimension must be an integer") from None
-            if not 0 <= dim <= DIM_CAP:
-                raise LieParseError(lineno, toks[1][1], f"dimension must be in [0, {DIM_CAP}]")
+            if not 1 <= dim <= DIM_CAP:
+                raise LieParseError(lineno, toks[1][1], f"dimension must be in [1, {DIM_CAP}]")
         elif basis is None:
             if word != "basis":
                 raise LieParseError(lineno, col, "expected 'basis <names>'")

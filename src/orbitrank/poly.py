@@ -153,6 +153,47 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def square(self) -> "MPoly":
+        """self * self, accumulated on Python ints.
+
+        The coefficients are integers over one common denominator d, and each
+        exponent vector is packed into one int key in base 2 * maxexp + 1, so
+        adding two keys adds the vectors without a carry. The upper triangle
+        of the product is summed once (c_i**2 on the diagonal, 2*c_i*c_j off
+        it), then the keys are unpacked and the sums divided by d**2. The
+        result is the same exact polynomial that ``Fraction`` arithmetic gives.
+        """
+        out = MPoly.__new__(MPoly)
+        out.nvars = n = self.nvars
+        out.terms = terms = {}
+        if not self.terms:
+            return out
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        base = 2 * max(max(exp, default=0) for exp in self.terms) + 1
+        items = []
+        for exp, c in self.terms.items():
+            key = 0
+            for e in exp:
+                key = key * base + e
+            items.append((key, c.numerator * (den // c.denominator)))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for i, (ki, ci) in enumerate(items):
+            acc[2 * ki] = get(2 * ki, 0) + ci * ci
+            twice = 2 * ci
+            for kj, cj in items[i + 1 :]:
+                k = ki + kj
+                acc[k] = get(k, 0) + twice * cj
+        scale = den * den
+        while acc:
+            key, c = acc.popitem()
+            if c:
+                exp = [0] * n
+                for i in range(n - 1, -1, -1):
+                    key, exp[i] = divmod(key, base)
+                terms[tuple(exp)] = Fraction(c, scale)
+        return out
+
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")

@@ -88,7 +88,13 @@ def test_analyze_zero_denominator_in_catalog_spec():
 def test_analyze_lie_file_above_dimension_cap(tmp_path):
     big = tmp_path / "big.lie"
     big.write_text("lie 1\ndim 65\nbasis X\n")
-    assert_input_error(run_cli("analyze", str(big)), "line 2, column 5", "[0, 64]")
+    assert_input_error(run_cli("analyze", str(big)), "line 2, column 5", "[1, 64]")
+
+
+def test_analyze_lie_file_of_dimension_zero(tmp_path):
+    empty = tmp_path / "empty.lie"
+    empty.write_text("lie 1\ndim 0\nbasis\n")
+    assert_input_error(run_cli("analyze", str(empty)), "line 2, column 5", "[1, 64]")
 
 
 @pytest.mark.parametrize("spec", ["catalog:abelian:65", "catalog:heisenberg:32"])
@@ -155,6 +161,24 @@ def test_infer_no_compacts_flag():
     res = run_cli("infer", os.path.join(FIXTURES, "toeplitz.filt"), "--no-compacts-facts")
     assert res.returncode == 0
     assert "R17" not in res.stdout
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        ('{"group_derived": "false", "real_line": "false"}', "flag 'group_derived' must be true or false, got \"false\""),
+        ('{"group_derived": true, "real_line": "false"}', "flag 'real_line' must be true or false, got \"false\""),
+        ('{"real_line": 0}', "flag 'real_line' must be true or false, got 0"),
+        ('{"group_derived": null}', "flag 'group_derived' must be true or false, got null"),
+    ],
+)
+def test_infer_json_flags_must_be_booleans(tmp_path, flags, message):
+    doc = tmp_path / "flags.json"
+    doc.write_text(
+        '{"filtration": 1, "nodes": [{"name": "a", "attrs": {"kind": "elementary"}}], '
+        f'"flags": {flags}}}'
+    )
+    assert_input_error(run_cli("infer", str(doc)), message)
 
 
 def test_infer_json_document(tmp_path):

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from orbitrank.coadjoint import (
     p_polynomial,
 )
 from orbitrank.liealg import change_basis
+from orbitrank.lieio import parse_lie_file
 from orbitrank.linalg import Mat, det
-from orbitrank.poly import MPoly
+from orbitrank.poly import MPoly, sym_pfaffian
 
 
 def names(L):
@@ -86,6 +88,13 @@ class TestPPolynomial:
         for L in (axb(), heisenberg(1), grelaud(1), filiform(4), oscillator(),
                   direct_sum(axb(), axb()), heisenberg(2), abelian(6)):
             assert p_polynomial(L) == sym_det(b_matrix_sym(L))
+
+    def test_square_matches_fraction_product_on_dense_axb3(self):
+        path = os.path.join(os.path.dirname(__file__), "golden", "dense_axb3.lie")
+        with open(path, encoding="utf-8") as fh:
+            L = parse_lie_file(fh.read())
+        pf = sym_pfaffian(b_matrix_sym(L))
+        assert p_polynomial(L) == pf * pf
 
     def test_open_orbits(self):
         assert has_open_orbits(axb())

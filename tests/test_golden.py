@@ -1,8 +1,9 @@
 """Golden reports: `analyze --json` output must repeat byte for byte.
 
-The files in tests/golden/ were written by the code before the integer
-rewrites of `charpoly` and `restrict_to_segment`; a change that is meant to
-keep reports identical must keep this test green. The two dense inputs are
+Each file in tests/golden/ was written by the code before the integer
+rewrite it guards: `charpoly` and `restrict_to_segment` for the first twelve,
+`MPoly.square` for dense_axb4. A change that is meant to keep reports
+identical must keep this test green. The dense inputs are
 `change_basis(axb^k, M)` for the fixed integer M named in each file's header.
 
 Regenerate after a deliberate report change with

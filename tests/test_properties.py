@@ -145,3 +145,43 @@ def segment_cases(draw):
 def test_segment_restriction_matches_fraction_reference(case):
     poly, start, end = case
     assert poly.restrict_to_segment(start, end) == restrict_to_segment_reference(poly, start, end)
+
+
+coefficients = st.builds(
+    Fraction,
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@st.composite
+def square_cases(draw):
+    """A polynomial in 1-6 variables with exponents 0-6; half the time it
+    also holds terms a*x^u, b*x^v, c*x^w, d*x^z with u + v = w + z and
+    a*b = -c*d, so that their cross products cancel in the square."""
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=6)] * nvars)
+    terms = draw(st.dictionaries(exps, coefficients, max_size=12))
+    if draw(st.booleans()):
+        u, v = draw(exps), draw(exps)
+        w = tuple(
+            draw(st.integers(min_value=max(0, s - 6), max_value=min(6, s)))
+            for s in (a + b for a, b in zip(u, v))
+        )
+        z = tuple(a + b - c for a, b, c in zip(u, v, w))
+        a, b, c = (draw(coefficients.filter(bool)) for _ in range(3))
+        poly = MPoly(nvars, terms) + MPoly(nvars, {u: a}) + MPoly(nvars, {v: b})
+        poly = poly + MPoly(nvars, {w: c}) + MPoly(nvars, {z: -a * b / c})
+        return poly
+    return MPoly(nvars, terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(square_cases())
+@example(MPoly.zero(3))
+@example(MPoly.constant(Fraction(-7, 3), 2))
+@example(MPoly.constant(5, 0))
+@example(MPoly(4, {(0, 0, 5, 0): Fraction(-999999, 1000000)}))
+@example(MPoly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1, (1, 0, 1, 0): 1, (0, 1, 0, 1): 1}))
+def test_square_matches_fraction_product(poly):
+    assert poly.square() == poly * poly
