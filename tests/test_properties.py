@@ -170,9 +170,8 @@ def square_cases(draw):
         )
         z = tuple(a + b - c for a, b, c in zip(u, v, w))
         a, b, c = (draw(coefficients.filter(bool)) for _ in range(3))
-        poly = MPoly(nvars, terms) + MPoly(nvars, {u: a}) + MPoly(nvars, {v: b})
-        poly = poly + MPoly(nvars, {w: c}) + MPoly(nvars, {z: -a * b / c})
-        return poly
+        quad = [(u, a), (v, b), (w, c), (z, -a * b / c)]
+        return sum((MPoly(nvars, {e: k}) for e, k in quad), MPoly(nvars, terms))
     return MPoly(nvars, terms)
 
 
