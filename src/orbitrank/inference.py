@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 from .invariants import GroupFlags, real_rank
@@ -59,8 +59,10 @@ class InvalidFiltration(Exception):
 
 
 class FiltrationParseError(Exception):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """Malformed document; ``line`` is a line number, or a path in a JSON document."""
+
+    def __init__(self, line: int | str, message: str):
+        super().__init__(f"line {line}: {message}" if isinstance(line, int) else f"{line}: {message}")
         self.line = line
 
 
@@ -444,22 +446,14 @@ def _apply(table: FactTable, rule: str, target: str, fact: str, value, note: str
     raise ValueError(f"unknown fact kind {fact!r}")
 
 
-def infer(
-    doc: FiltrationDoc,
-    use_compacts_facts: bool = True,
-    rule_order: Sequence[str] | None = None,
-) -> FactTable:
+def infer(doc: FiltrationDoc, use_compacts_facts: bool = True) -> FactTable:
     """Run the rule set to a fixpoint and return the fact table with trace.
 
-    ``use_compacts_facts`` disables R17 when False. ``rule_order`` replays
-    the rules in a different fixed order (the fixpoint does not depend on
-    it; the trace does), which the confluence tests exercise.
+    ``use_compacts_facts`` disables R17 when False. The fixpoint does not
+    depend on the order of ``RULES``; the trace does.
     """
     doc = normalize_doc(doc)
     rules = [(rid, fn) for rid, fn in RULES if use_compacts_facts or rid != "R17"]
-    if rule_order is not None:
-        by_id = dict(rules)
-        rules = [(rid, by_id[rid]) for rid in rule_order if rid in by_id]
     table = _initial_table(doc)
     sweeps = 0
     while True:
@@ -547,78 +541,103 @@ def derive_group_filtration(L: LieAlgebra, flags: GroupFlags) -> FiltrationDoc:
 
 # ---------------------------------------------------------------------------
 # document formats
+#
+# Both front ends only split a document into raw records: nodes as
+# (where, name, [(where, key, value)]) and flags as [(where, key, value)], each
+# value as JSON would hold it. ``where`` is a line number in the text format
+# and a path such as ``nodes[2].attrs.kind`` in JSON. _build_doc checks them.
 
-ATTR_KEYS = (
-    "kind",
-    "spectrum_dim",
-    "spectrum_compact",
-    "irreps_infinite_dim",
-    "hausdorff_spectrum",
-    "no_compact_spectrum_component",
-    "separable",
-    "fiber_dim",
-    "ambient_dim",
-)
+ATTR_KEYS = tuple(f.name for f in fields(NodeAnnotation))
 FLAG_KEYS = ("liminary", "group_derived", "real_line")
+_NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
-_BOOL_ATTRS = (
-    "spectrum_compact",
-    "irreps_infinite_dim",
-    "hausdorff_spectrum",
-    "no_compact_spectrum_component",
-    "separable",
-    "liminary",
-)
-_DIM_ATTRS = ("spectrum_dim", "ambient_dim")
+def _json_text(value) -> str:
+    """A value as JSON text; a container is only named, because one nested
+    near the recursion limit would fail to encode."""
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    return json.dumps(value)
 
 
-def _check_attr(key: str, value, line: int):
-    """Semantic check of a parsed attribute value; None means unknown."""
-    if value is None:
+def _value(key: str, value, where):
+    """Check one attribute or flag value; "unknown" (or JSON null) is None."""
+    if key in ("group_derived", "real_line"):
+        if isinstance(value, bool):
+            return value
+        raise FiltrationParseError(where, f"flag {key!r} must be true or false, got {_json_text(value)}")
+    if key == "kind":
+        if value in KINDS:
+            return value
+        raise FiltrationParseError(where, f"unknown kind {_json_text(value)}")
+    if value is None or value == "unknown":
         return None
-    if key == "kind":
-        if value not in KINDS:
-            raise FiltrationParseError(line, f"unknown kind {value!r}")
-        return value
-    if key in _BOOL_ATTRS:
-        if not isinstance(value, bool):
-            raise FiltrationParseError(line, f"{key} must be true, false or unknown")
-        return value
-    if key == "fiber_dim":
-        if value == INFINITE or (isinstance(value, int) and not isinstance(value, bool)):
+    if key in ("spectrum_dim", "ambient_dim", "fiber_dim"):
+        if type(value) is int or (key == "fiber_dim" and value == INFINITE):
             return value
-        raise FiltrationParseError(line, f"{key} must be a natural number, infinite or unknown")
-    if key in _DIM_ATTRS:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise FiltrationParseError(line, f"{key} must be a natural number or unknown")
-    raise FiltrationParseError(line, f"unknown attribute {key!r}")
+        infinite = ", infinite" if key == "fiber_dim" else ""
+        raise FiltrationParseError(where, f"{key} must be a natural number{infinite} or unknown")
+    if isinstance(value, bool):
+        return value
+    raise FiltrationParseError(where, f"{key} must be true, false or unknown")
 
 
-def _parse_attr_value(key: str, raw: str, line: int):
-    if key == "kind":
-        return _check_attr(key, raw, line)
-    if raw == "true":
-        value: object = True
-    elif raw == "false":
-        value = False
-    elif raw == "unknown":
-        value = None
-    elif raw == "infinite":
-        value = INFINITE
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise FiltrationParseError(line, f"bad value {raw!r} for {key}") from None
-    return _check_attr(key, value, line)
+def _checked(records, keys: tuple[str, ...], noun: str) -> dict:
+    """Checked values by key; unknown and repeated keys are refused."""
+    values: dict = {}
+    for where, key, value in records:
+        if key not in keys:
+            raise FiltrationParseError(where, f"unknown {noun} {key!r}")
+        if key in values:
+            raise FiltrationParseError(where, f"{noun} {key!r} set twice")
+        values[key] = _value(key, value, where)
+    return values
+
+
+def _build_doc(nodes_where, nodes, flags) -> FiltrationDoc:
+    """Check the raw records of either format and build the normalized document.
+
+    ``nodes_where`` locates the node list, for the error on an empty one.
+    """
+    if not nodes:
+        raise FiltrationParseError(nodes_where, "a filtration needs at least one node")
+    built: list[FiltrationNode] = []
+    for where, name, attrs in nodes:
+        if not (isinstance(name, str) and _NODE_NAME.fullmatch(name)):
+            raise FiltrationParseError(where, f"bad node name {_json_text(name)}")
+        if any(node.name == name for node in built):
+            raise FiltrationParseError(where, f"duplicate node name {name!r}")
+        built.append(FiltrationNode(name, NodeAnnotation(**_checked(attrs, ATTR_KEYS, "attribute"))))
+    flag = _checked(flags, FLAG_KEYS, "flag")
+    return normalize_doc(
+        FiltrationDoc(
+            tuple(built),
+            AlgebraFlags(flag.get("liminary"), flag.get("group_derived", False), flag.get("real_line", False)),
+        )
+    )
+
+
+def _integer(literal: str) -> int | str:
+    """An integer literal's value; one too long for int() stays a string,
+    which no key accepts."""
+    try:
+        return int(literal)
+    except ValueError:
+        return literal
+
+
+def _token_value(token: str):
+    """The JSON value a text token stands for: a bool, an int or a string."""
+    if token in ("true", "false"):
+        return token == "true"
+    return _integer(token) if _INTEGER.fullmatch(token) else token
 
 
 def parse_filtration(text: str) -> FiltrationDoc:
     """Parse the line-based filtration format; see the package README."""
-    nodes: list[tuple[str, dict]] = []
-    flags_seen: dict | None = None
+    nodes: list = []
+    flags: list | None = None
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -629,121 +648,94 @@ def parse_filtration(text: str) -> FiltrationDoc:
             if tokens != ["filtration", "1"]:
                 raise FiltrationParseError(lineno, "expected header 'filtration 1'")
             header_seen = True
-            continue
-        if tokens[0] == "node":
+        elif tokens[0] == "node":
             if len(tokens) != 2:
                 raise FiltrationParseError(lineno, "node lines read 'node <name>'")
-            name = tokens[1]
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-                raise FiltrationParseError(lineno, f"bad node name {name!r}")
-            if any(n == name for n, _ in nodes):
-                raise FiltrationParseError(lineno, f"duplicate node name {name!r}")
-            nodes.append((name, {}))
+            nodes.append((lineno, tokens[1], []))
         elif tokens[0] == "attr":
             if not nodes:
                 raise FiltrationParseError(lineno, "attr line before any node")
             if len(tokens) != 4 or tokens[2] != "=":
                 raise FiltrationParseError(lineno, "attr lines read 'attr <key> = <value>'")
-            key = tokens[1]
-            if key not in ATTR_KEYS:
-                raise FiltrationParseError(lineno, f"unknown attribute {key!r}")
-            if key in nodes[-1][1]:
-                raise FiltrationParseError(lineno, f"attribute {key!r} set twice")
-            nodes[-1][1][key] = _parse_attr_value(key, tokens[3], lineno)
+            nodes[-1][2].append((lineno, tokens[1], _token_value(tokens[3])))
         elif tokens[0] == "flags":
-            if flags_seen is not None:
+            if flags is not None:
                 raise FiltrationParseError(lineno, "flags line appears twice")
-            flags_seen = {}
+            flags = []
             for tok in tokens[1:]:
-                key, sep, raw_value = tok.partition("=")
-                if not sep or key not in FLAG_KEYS:
+                key, sep, value = tok.partition("=")
+                if not sep:
                     raise FiltrationParseError(lineno, f"bad flag {tok!r}")
-                if key == "liminary":
-                    flags_seen[key] = _parse_attr_value(key, raw_value, lineno)
-                else:
-                    if raw_value not in ("true", "false"):
-                        raise FiltrationParseError(lineno, f"flag {key} must be true or false")
-                    flags_seen[key] = raw_value == "true"
+                flags.append((lineno, key, _token_value(value)))
         else:
             raise FiltrationParseError(lineno, f"unrecognized line {line!r}")
     if not header_seen:
         raise FiltrationParseError(1, "expected header 'filtration 1'")
-    if not nodes:
-        raise FiltrationParseError(1, "a filtration needs at least one node")
-    flags_seen = flags_seen or {}
-    doc = FiltrationDoc(
-        nodes=tuple(FiltrationNode(name, NodeAnnotation(**attrs)) for name, attrs in nodes),
-        flags=AlgebraFlags(
-            liminary=flags_seen.get("liminary"),
-            group_derived=flags_seen.get("group_derived", False),
-            is_real_line_group=flags_seen.get("real_line", False),
-        ),
-    )
-    return normalize_doc(doc)
+    return _build_doc(1, nodes, flags or [])
+
+
+class _JSONObject(dict):
+    """A decoded JSON object that also keeps its members in order, repeats included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
+def _members(value, path: str, keys: tuple[str, ...]) -> dict:
+    """The members of the JSON object at ``path``: each named in ``keys``, none twice."""
+    if not isinstance(value, _JSONObject):
+        raise FiltrationParseError(path or "document", f"expected an object with keys {', '.join(keys)}")
+    members = {}
+    for key, item in value.pairs:
+        where = f"{path}.{key}" if path else key
+        if key not in keys:
+            raise FiltrationParseError(where, f"unknown key {key!r}")
+        if key in members:
+            raise FiltrationParseError(where, f"duplicate key {key!r}")
+        members[key] = item
+    return members
+
+
+def _records(parent: dict, key: str, where: str) -> list:
+    """One (where, key, value) record per member of the object ``parent[key]``, if present."""
+    value = parent.get(key, _JSONObject([]))
+    if not isinstance(value, _JSONObject):
+        raise FiltrationParseError(where, "expected an object")
+    return [(f"{where}.{k}", k, v) for k, v in value.pairs]
 
 
 def parse_filtration_json(text: str) -> FiltrationDoc:
-    """JSON document with the same keys as the text format."""
+    """Parse a JSON document with the text format's keys; see the package README."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_JSONObject, parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise FiltrationParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(data, dict) or data.get("filtration") != 1:
-        raise FiltrationParseError(1, "expected {'filtration': 1, 'nodes': [...]}")
-    raw_nodes = data.get("nodes", [])
-    if not isinstance(raw_nodes, list):
-        raise FiltrationParseError(1, "'nodes' must be a list of objects")
+    except RecursionError:
+        raise FiltrationParseError(1, "invalid JSON: nested too deeply") from None
+    top = _members(data, "", ("filtration", "nodes", "flags"))
+    if top.get("filtration") != 1 or type(top["filtration"]) is not int:
+        raise FiltrationParseError("filtration", "the format version must be 1")
+    entries = top.get("nodes", [])
+    if not isinstance(entries, list):
+        raise FiltrationParseError("nodes", "expected a list of node objects")
     nodes = []
-    for entry in raw_nodes:
-        if not isinstance(entry, dict):
-            raise FiltrationParseError(1, "every node must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise FiltrationParseError(1, "every node needs a string name")
-        raw_attrs = entry.get("attrs", {})
-        if not isinstance(raw_attrs, dict):
-            raise FiltrationParseError(1, f"node {name!r}: 'attrs' must be an object")
-        attrs = {}
-        for key, value in raw_attrs.items():
-            if key not in ATTR_KEYS:
-                raise FiltrationParseError(1, f"unknown attribute {key!r}")
-            if value == "unknown":
-                value = None
-            attrs[key] = _check_attr(key, value, 1)
-        nodes.append(FiltrationNode(name, NodeAnnotation(**attrs)))
-    raw_flags = data.get("flags", {})
-    if not isinstance(raw_flags, dict):
-        raise FiltrationParseError(1, "'flags' must be an object")
-    for key in raw_flags:
-        if key not in FLAG_KEYS:
-            raise FiltrationParseError(1, f"unknown flag {key!r}")
-    liminary = raw_flags.get("liminary")
-    if liminary == "unknown":
-        liminary = None
-    liminary = _check_attr("liminary", liminary, 1)
-    doc = FiltrationDoc(
-        nodes=tuple(nodes),
-        flags=AlgebraFlags(
-            liminary=liminary,
-            group_derived=_json_flag(raw_flags, "group_derived"),
-            is_real_line_group=_json_flag(raw_flags, "real_line"),
-        ),
-    )
-    return normalize_doc(doc)
-
-
-def _json_flag(raw_flags: dict, key: str) -> bool:
-    """A two-valued flag: JSON true or false, false when absent."""
-    value = raw_flags.get(key, False)
-    if not isinstance(value, bool):
-        raise FiltrationParseError(1, f"flag {key!r} must be true or false, got {json.dumps(value)}")
-    return value
+    for i, entry in enumerate(entries):
+        path = f"nodes[{i}]"
+        node = _members(entry, path, ("name", "attrs"))
+        nodes.append((f"{path}.name", node.get("name"), _records(node, "attrs", f"{path}.attrs")))
+    return _build_doc("nodes", nodes, _records(top, "flags", "flags"))
 
 
 def load_filtration(path: str) -> FiltrationDoc:
     """Parse a document file, dispatching on the .json extension."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FiltrationParseError(line, f"not valid UTF-8: {exc.reason}") from None
     if path.endswith(".json"):
         return parse_filtration_json(text)
     return parse_filtration(text)

@@ -50,7 +50,6 @@ def analyze_algebra(
 ) -> tuple[dict, int]:
     """Run the full pipeline and return (report, exit_code)."""
     report: dict = {}
-    refused = False
 
     report["algebra"] = {
         "dim": L.dim,
@@ -74,7 +73,6 @@ def analyze_algebra(
     verdict: ExponentialityVerdict | None = None
     if not st.solvable:
         report["exponentiality"] = {"refused": {"reason": "NotSolvable"}}
-        refused = True
     elif assume_exponential:
         verdict = ExponentialityVerdict(status="asserted")
         report["exponentiality"] = {"status": "asserted"}
@@ -100,86 +98,62 @@ def analyze_algebra(
         },
     }
 
+    # real_rank, projection_verdict and derive_group_filtration share one
+    # hypothesis check, so one refusal covers the last three sections
+    refusal: dict | None = None
     if verdict is None:
-        reason = {"refused": {"reason": "NotSolvable"}}
-        report["invariants"] = dict(reason)
-        report["projections"] = dict(reason)
-        report["inference"] = dict(reason)
+        refusal = {"reason": "NotSolvable"}
+        report["invariants"] = {"refused": refusal}
+    else:
+        flags = GroupFlags(exponentiality=verdict, simply_connected=simply_connected)
+        banner = f"exponential ({'asserted' if verdict.status == 'asserted' else 'heuristic'})"
+        try:
+            rr = real_rank(L, flags)
+            sr = stable_rank(L, flags)
+            report["invariants"] = {
+                "real_rank": rr,
+                "stable_rank": sr,
+                "hypothesis": banner,
+            }
+        except NotExponential as exc:
+            refusal = {"reason": "NotExponential", "witness": _vector(exc.witness)}
+            report["invariants"] = {"refused": refusal}
+        except NotSimplyConnected:
+            refusal = {"reason": "NotSimplyConnected"}
+            bound = rr_upper_bound_nonsimply_connected(L, flags)
+            report["invariants"] = {
+                "refused": refusal,
+                "real_rank_upper_bound": bound,
+                "upper_bound_possibly_strict": True,
+                "hypothesis": banner,
+            }
+    if refusal is not None:
+        report["projections"] = {"refused": refusal}
+        report["inference"] = {"refused": refusal}
         return report, EXIT_REFUSED
 
-    flags = GroupFlags(exponentiality=verdict, simply_connected=simply_connected)
-    banner = f"exponential ({'asserted' if verdict.status == 'asserted' else 'heuristic'})"
+    pv = projection_verdict(L, flags, samples=samples, seed=seed, component_estimate=estimate)
+    section = {
+        "verdict": pv.verdict,
+        "gr_equals_J0": pv.gr_equals_J0,
+        "J0_proper": pv.J0_proper,
+    }
+    if pv.open_orbit_count_estimate is not None:
+        section["open_orbit_count_estimate"] = pv.open_orbit_count_estimate
+    report["projections"] = section
 
-    try:
-        rr = real_rank(L, flags)
-        sr = stable_rank(L, flags)
-        report["invariants"] = {
-            "real_rank": rr,
-            "stable_rank": sr,
-            "hypothesis": banner,
-        }
-    except NotExponential as exc:
-        refused = True
-        report["invariants"] = {
-            "refused": {"reason": "NotExponential", "witness": _vector(exc.witness)}
-        }
-    except NotSimplyConnected:
-        refused = True
-        bound = rr_upper_bound_nonsimply_connected(L, flags)
-        report["invariants"] = {
-            "refused": {"reason": "NotSimplyConnected"},
-            "real_rank_upper_bound": bound,
-            "upper_bound_possibly_strict": True,
-            "hypothesis": banner,
-        }
-
-    try:
-        pv = projection_verdict(L, flags, samples=samples, seed=seed, component_estimate=estimate)
-        section = {
-            "verdict": pv.verdict,
-            "gr_equals_J0": pv.gr_equals_J0,
-            "J0_proper": pv.J0_proper,
-        }
-        if pv.open_orbit_count_estimate is not None:
-            section["open_orbit_count_estimate"] = pv.open_orbit_count_estimate
-        report["projections"] = section
-    except NotExponential as exc:
-        refused = True
-        report["projections"] = {
-            "refused": {"reason": "NotExponential", "witness": _vector(exc.witness)}
-        }
-    except NotSimplyConnected:
-        refused = True
-        report["projections"] = {"refused": {"reason": "NotSimplyConnected"}}
-
-    try:
-        doc = inference.derive_group_filtration(L, flags)
-        table = inference.infer(doc, use_compacts_facts=use_compacts_facts)
-        rr_iv = table.rr_interval()
-        tsr_iv = table.tsr_interval()
-        closed = report["invariants"]
-        agreement = (
-            "real_rank" in closed
-            and rr_iv == (closed["real_rank"], closed["real_rank"])
-            and tsr_iv == (closed["stable_rank"], closed["stable_rank"])
-        )
-        report["inference"] = {
-            "rr_interval": _interval(rr_iv),
-            "tsr_interval": _interval(tsr_iv),
-            "gr": table.gr_fact(),
-            "agreement": agreement,
-            "trace_length": len(table.trace),
-        }
-    except NotExponential as exc:
-        refused = True
-        report["inference"] = {
-            "refused": {"reason": "NotExponential", "witness": _vector(exc.witness)}
-        }
-    except NotSimplyConnected:
-        refused = True
-        report["inference"] = {"refused": {"reason": "NotSimplyConnected"}}
-
-    return report, EXIT_REFUSED if refused else EXIT_OK
+    doc = inference.derive_group_filtration(L, flags)
+    table = inference.infer(doc, use_compacts_facts=use_compacts_facts)
+    rr_iv = table.rr_interval()
+    tsr_iv = table.tsr_interval()
+    report["inference"] = {
+        "rr_interval": _interval(rr_iv),
+        "tsr_interval": _interval(tsr_iv),
+        "gr": table.gr_fact(),
+        "agreement": rr_iv == (rr, rr) and tsr_iv == (sr, sr),
+        "trace_length": len(table.trace),
+    }
+    return report, EXIT_OK
 
 
 def load_algebra(source: str) -> LieAlgebra:

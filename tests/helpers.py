@@ -7,14 +7,17 @@ oracle bisects on sign changes. The two reference implementations of
 library on ``Fraction`` values, where the library runs them on integers over
 a common denominator. Where a library value is checked against an oracle, the
 oracle stays the authority. ``sym_det`` is a cofactor-expansion cross-check
-for the library's Pfaffian route, and ``SUBSUMED_RULES`` keeps three
-inference rules that the engine dropped because other rules subsume them.
+for the library's Pfaffian route, ``SUBSUMED_RULES`` keeps three
+inference rules that the engine dropped because other rules subsume them, and
+the two filtration renderers write a document in each input format.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -312,3 +315,52 @@ SUBSUMED_RULES = (("R3", _rule_r3), ("R10", _rule_r10), ("R13", _rule_r13))
 def with_subsumed_rules(rules):
     """The rule list with R3, R10 and R13 back in their numbered places."""
     return tuple(sorted(list(rules) + list(SUBSUMED_RULES), key=lambda r: int(r[0][1:])))
+
+
+# ---------------------------------------------------------------------------
+# filtration documents in both input formats, every field written out
+
+
+def _filtration_fields(doc):
+    nodes = [(n.name, [(f.name, getattr(n.ann, f.name)) for f in fields(n.ann)]) for n in doc.nodes]
+    flags = [
+        ("liminary", doc.flags.liminary),
+        ("group_derived", doc.flags.group_derived),
+        ("real_line", doc.flags.is_real_line_group),
+    ]
+    return nodes, flags
+
+
+def _token(value) -> str:
+    if value is None:
+        return "unknown"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def render_filtration_text(doc) -> str:
+    """The document in the line-based format; None is written ``unknown``."""
+    nodes, flags = _filtration_fields(doc)
+    lines = ["filtration 1"]
+    for name, attrs in nodes:
+        lines.append(f"node {name}")
+        lines.extend(f"attr {key} = {_token(value)}" for key, value in attrs)
+    lines.append("flags " + " ".join(f"{key}={_token(value)}" for key, value in flags))
+    return "\n".join(lines) + "\n"
+
+
+def render_filtration_json(doc) -> str:
+    """The document as JSON; None is written ``"unknown"``."""
+    nodes, flags = _filtration_fields(doc)
+
+    def members(items):
+        return {key: "unknown" if value is None else value for key, value in items}
+
+    return json.dumps(
+        {
+            "filtration": 1,
+            "nodes": [{"name": name, "attrs": members(attrs)} for name, attrs in nodes],
+            "flags": members(flags),
+        }
+    )

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES
+from orbitrank.inference import load_filtration
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -104,18 +105,121 @@ def test_analyze_catalog_spec_above_dimension_cap(spec):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc,where",
     [
-        '{"filtration": 1, "nodes": [1]}',
-        '{"filtration": 1, "nodes": 7}',
-        '{"filtration": 1, "nodes": [{"name": "a", "attrs": 3}]}',
-        '{"filtration": 1, "nodes": [{"name": "a"}], "flags": 5}',
+        pytest.param(doc, where, id=doc)
+        for doc, where in [
+            ('{"filtration": 1, "nodes": [1]}', "nodes[0]"),
+            ('{"filtration": 1, "nodes": 7}', "nodes"),
+            ('{"filtration": 1, "nodes": [{"name": "a", "attrs": 3}]}', "nodes[0].attrs"),
+            ('{"filtration": 1, "nodes": [{"name": "a"}], "flags": 5}', "flags"),
+        ]
     ],
 )
-def test_infer_malformed_json_document(tmp_path, doc):
+def test_infer_malformed_json_document(tmp_path, doc, where):
     path = tmp_path / "doc.json"
     path.write_text(doc)
-    assert_input_error(run_cli("infer", str(path)), "line 1:")
+    assert_input_error(run_cli("infer", str(path)), f"error: {where}: ")
+
+
+_NODE_A = '{"name": "a", "attrs": {"kind": "elementary"}}'
+
+
+@pytest.mark.parametrize(
+    "name,doc,fragments",
+    [
+        (
+            "doc.json",
+            f'{{"filtration": 1, "nodez": [{_NODE_A}]}}',
+            ["error: nodez: ", "unknown key 'nodez'"],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": "a", "atrs": {"kind": "elementary"}}]}',
+            ["error: nodes[0].atrs: ", "unknown key 'atrs'"],
+        ),
+        (
+            "doc.json",
+            f'{{"filtration": 1, "nodes": [{_NODE_A}], "nodes": [{_NODE_A}]}}',
+            ["error: nodes: ", "duplicate key 'nodes'"],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": "a", "attrs": {"kind": "elementary", "kind": "generic"}}]}',
+            ["error: nodes[0].attrs.kind: ", "attribute 'kind' set twice"],
+        ),
+        (
+            "doc.json",
+            f'{{"filtration": 1, "nodes": [{_NODE_A}], "flags": {{"real_line": true, "real_line": false}}}}',
+            ["error: flags.real_line: ", "flag 'real_line' set twice"],
+        ),
+        (
+            "doc.filt",
+            "filtration 1\nnode a\nflags real_line=true real_line=false\n",
+            ["error: line 3: ", "flag 'real_line' set twice"],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": "a b"}]}',
+            ["error: nodes[0].name: ", 'bad node name "a b"'],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": ""}]}',
+            ["error: nodes[0].name: ", 'bad node name ""'],
+        ),
+        (
+            "doc.json",
+            f'{{"filtration": true, "nodes": [{_NODE_A}]}}',
+            ["error: filtration: ", "format version must be 1"],
+        ),
+        (
+            "doc.filt",
+            "filtration 1\nnode a\nattr spectrum_dim = 1_000\n",
+            ["error: line 3: ", "spectrum_dim must be a natural number"],
+        ),
+    ],
+    ids=[
+        "unknown_document_key",
+        "unknown_node_key",
+        "duplicate_document_key",
+        "duplicate_attribute_key",
+        "duplicate_flag_key",
+        "repeated_text_flag",
+        "node_name_with_space",
+        "empty_node_name",
+        "version_true",
+        "underscored_integer",
+    ],
+)
+def test_infer_refuses_keys_and_values_it_used_to_drop(tmp_path, name, doc, fragments):
+    path = tmp_path / name
+    path.write_text(doc)
+    assert_input_error(run_cli("infer", str(path)), *fragments)
+
+
+@pytest.mark.parametrize(
+    "name,content,fragments",
+    [
+        ("doc.filt", b"filtration 1\nnode a\xff\n", ["error: line 2: ", "not valid UTF-8"]),
+        ("doc.json", b"[" * 200000, ["error: line 1: ", "nested too deeply"]),
+    ],
+    ids=["not_utf8", "nested_too_deeply"],
+)
+def test_infer_undecodable_document(tmp_path, name, content, fragments):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert_input_error(run_cli("infer", str(path)), *fragments)
+
+
+@pytest.mark.parametrize("fixture", ["axb", "toeplitz", "nilpotent_special"])
+def test_infer_json_twin_of_text_fixture(fixture):
+    text, twin = (os.path.join(FIXTURES, f"{fixture}.{ext}") for ext in ("filt", "json"))
+    assert load_filtration(twin) == load_filtration(text)
+    for extra in ([], ["--json", "-"]):
+        a, b = run_cli("infer", text, *extra), run_cli("infer", twin, *extra)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
 
 
 def test_json_bytes_deterministic():

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from helpers import with_subsumed_rules
+from helpers import render_filtration_json, render_filtration_text, with_subsumed_rules
 from orbitrank import inference
 from orbitrank.catalog import abelian, axb, direct_sum, filiform, grelaud, heisenberg
 from orbitrank.inference import (
@@ -27,9 +28,6 @@ from orbitrank.inference import (
 )
 from orbitrank.invariants import GroupFlags, real_rank, stable_rank
 from orbitrank.liealg import exponentiality_check
-
-RULE_IDS = [rid for rid, _ in inference.RULES]
-
 
 def load(name):
     with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as fh:
@@ -199,7 +197,9 @@ class TestFixpointContracts:
     def test_confluence_under_reversed_rule_order(self):
         for doc in self.docs():
             forward = infer(doc)
-            backward = infer(doc, rule_order=list(reversed(RULE_IDS)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inference, "RULES", inference.RULES[::-1])
+                backward = infer(doc)
             assert forward.snapshot() == backward.snapshot()
 
     def test_trace_replay_reproduces_table(self):
@@ -278,6 +278,28 @@ def test_subsumed_rules_change_no_fixpoint(doc):
         mp.setattr(inference, "RULES", with_subsumed_rules(inference.RULES))
         restored = _fixpoint(doc)
     assert restored == without
+
+
+def _loaded(load, source):
+    try:
+        return load(source)
+    except (FiltrationParseError, InvalidFiltration) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_documents, st.one_of(st.just("n0"), st.sampled_from(["total", "a b", "", "9x", "\u00e9"])))
+def test_text_and_json_load_the_same_document(doc, first_name):
+    """Rendered in either format, a document loads to normalize_doc(doc), or
+    both formats refuse it with the same error class; the first node's name is
+    sometimes one the formats refuse or one normalize_doc reserves."""
+    doc = replace(doc, nodes=(replace(doc.nodes[0], name=first_name),) + doc.nodes[1:])
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", first_name):
+        expected = _loaded(normalize_doc, doc)
+    else:
+        expected = FiltrationParseError
+    assert _loaded(parse_filtration, render_filtration_text(doc)) == expected
+    assert _loaded(parse_filtration_json, render_filtration_json(doc)) == expected
 
 
 class TestDeriveGroupFiltration:
