@@ -54,15 +54,28 @@ KINDS = ("continuous_trace", "commutative", "elementary", "generic")
 GR_ORDER = {"unknown": 0, "equals_first_ideal": 1, "zero": 2}
 
 
+def _at(where: int | str, message: str) -> str:
+    """A message prefixed with its place: a line number, or a path in a JSON document."""
+    return f"line {where}: {message}" if isinstance(where, int) else f"{where}: {message}"
+
+
 class InvalidFiltration(Exception):
-    """Structurally inconsistent document (bad kinds, clashing annotations)."""
+    """Structurally inconsistent document (bad kinds, clashing annotations).
+
+    ``node`` and ``key`` name the node and attribute at fault, where there is one.
+    """
+
+    def __init__(self, message: str, node: str | None = None, key: str | None = None):
+        super().__init__(message)
+        self.node = node
+        self.key = key
 
 
 class FiltrationParseError(Exception):
     """Malformed document; ``line`` is a line number, or a path in a JSON document."""
 
     def __init__(self, line: int | str, message: str):
-        super().__init__(f"line {line}: {message}" if isinstance(line, int) else f"{line}: {message}")
+        super().__init__(_at(line, message))
         self.line = line
 
 
@@ -118,7 +131,7 @@ def _fill(ann: NodeAnnotation, node: str, **implied) -> NodeAnnotation:
             updates[key] = value
         elif current != value:
             raise InvalidFiltration(
-                f"node {node!r}: {key}={current!r} contradicts kind {ann.kind!r}"
+                f"node {node!r}: {key}={current!r} contradicts kind {ann.kind!r}", node, key
             )
     return replace(ann, **updates) if updates else ann
 
@@ -133,7 +146,7 @@ def normalize_doc(doc: FiltrationDoc) -> FiltrationDoc:
         if node.name in seen:
             raise InvalidFiltration(f"duplicate node name {node.name!r}")
         if node.name == "total":
-            raise InvalidFiltration("'total' is reserved for the whole algebra")
+            raise InvalidFiltration("'total' is reserved for the whole algebra", node.name)
         seen.add(node.name)
         ann = node.ann
         if ann.kind not in KINDS:
@@ -142,11 +155,13 @@ def normalize_doc(doc: FiltrationDoc) -> FiltrationDoc:
             v = getattr(ann, key)
             if v is not None and not 0 <= v <= DIM_CAP:
                 raise InvalidFiltration(
-                    f"node {node.name!r}: {key}={v} outside [0, {DIM_CAP}]"
+                    f"node {node.name!r}: {key}={v} outside [0, {DIM_CAP}]", node.name, key
                 )
         if isinstance(ann.fiber_dim, int) and not 1 <= ann.fiber_dim <= DIM_CAP:
             raise InvalidFiltration(
-                f"node {node.name!r}: fiber_dim={ann.fiber_dim} outside [1, {DIM_CAP}]"
+                f"node {node.name!r}: fiber_dim={ann.fiber_dim} outside [1, {DIM_CAP}]",
+                node.name,
+                "fiber_dim",
             )
         if ann.kind == "elementary":
             ann = _fill(
@@ -598,24 +613,31 @@ def _checked(records, keys: tuple[str, ...], noun: str) -> dict:
 def _build_doc(nodes_where, nodes, flags) -> FiltrationDoc:
     """Check the raw records of either format and build the normalized document.
 
-    ``nodes_where`` locates the node list, for the error on an empty one.
+    ``nodes_where`` locates the node list, for the error on an empty one. An
+    error from normalize_doc names the place of the node or attribute at fault.
     """
     if not nodes:
         raise FiltrationParseError(nodes_where, "a filtration needs at least one node")
     built: list[FiltrationNode] = []
+    places: dict = {}  # (node, key) -> where; key None for the node's name
     for where, name, attrs in nodes:
         if not (isinstance(name, str) and _NODE_NAME.fullmatch(name)):
             raise FiltrationParseError(where, f"bad node name {_json_text(name)}")
         if any(node.name == name for node in built):
             raise FiltrationParseError(where, f"duplicate node name {name!r}")
         built.append(FiltrationNode(name, NodeAnnotation(**_checked(attrs, ATTR_KEYS, "attribute"))))
+        places[name, None] = where
+        places.update(((name, key), w) for w, key, _ in attrs)
     flag = _checked(flags, FLAG_KEYS, "flag")
-    return normalize_doc(
-        FiltrationDoc(
-            tuple(built),
-            AlgebraFlags(flag.get("liminary"), flag.get("group_derived", False), flag.get("real_line", False)),
-        )
+    doc = FiltrationDoc(
+        tuple(built),
+        AlgebraFlags(flag.get("liminary"), flag.get("group_derived", False), flag.get("real_line", False)),
     )
+    try:
+        return normalize_doc(doc)
+    except InvalidFiltration as exc:
+        where = places.get((exc.node, exc.key), places.get((exc.node, None)))
+        raise InvalidFiltration(_at(where, str(exc)), exc.node, exc.key) from None
 
 
 def _integer(literal: str) -> int | str:
@@ -734,7 +756,8 @@ def load_filtration(path: str) -> FiltrationDoc:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # number lines as the parsers do; "?" stands in for the bad byte
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise FiltrationParseError(line, f"not valid UTF-8: {exc.reason}") from None
     if path.endswith(".json"):
         return parse_filtration_json(text)

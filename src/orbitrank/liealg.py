@@ -297,7 +297,9 @@ class ExponentialityVerdict:
     ``certified_no`` comes with a witness element whose adjoint map provably
     has a nonzero purely imaginary eigenvalue; ``heuristic_yes`` records that
     no witness was found among the tested elements; ``asserted`` is a user
-    override that skips the screen.
+    override that skips the screen. On a nilpotent algebra ``heuristic_yes``
+    is decided by Engel's theorem (every ad(X) is nilpotent, so no candidate
+    can be a witness) and no trials run.
     """
 
     status: str  # certified_no | heuristic_yes | asserted
@@ -346,9 +348,16 @@ def exponentiality_check(L: LieAlgebra, seed: int = 0, trials: int = 50) -> Expo
     combinations X. A nonzero purely imaginary eigenvalue of ad(X) certifies
     that the group is not exponential; exhausting all candidates without a
     hit yields only a heuristic acceptance. Deterministic in (seed, trials).
+
+    A nilpotent algebra gets ``heuristic_yes`` from Engel's theorem without
+    running any trial: every ad(X) is nilpotent, so its characteristic
+    polynomial is t^n and no candidate can be a witness. The test reads the
+    lower central series kept on the algebra.
     """
     if not is_solvable(L):
         raise NotSolvable("exponentiality screen requires a solvable algebra")
+    if is_nilpotent(L):
+        return ExponentialityVerdict(status="heuristic_yes")
     candidates: list[Vector] = [
         tuple(Fraction(1 if i == t else 0) for i in range(L.dim)) for t in range(L.dim)
     ]

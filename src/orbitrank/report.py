@@ -24,7 +24,7 @@ from .invariants import (
     stable_rank,
 )
 from .liealg import ExponentialityVerdict, LieAlgebra, exponentiality_check, structure_report
-from .lieio import parse_lie_file, render_bracket_terms
+from .lieio import LieParseError, parse_lie_file, render_bracket_terms
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -160,8 +160,15 @@ def load_algebra(source: str) -> LieAlgebra:
     """Build the algebra named by a .lie file path or a catalog:<name>[:<params>] pseudo-path."""
     if source.startswith("catalog:"):
         return catalog_from_spec(source[len("catalog:") :])
-    with open(source, "r", encoding="utf-8") as fh:
-        return parse_lie_file(fh.read())
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "?" stands in for it
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise LieParseError(len(lines), len(lines[-1]), f"not valid UTF-8: {exc.reason}") from None
+    return parse_lie_file(text)
 
 
 def analyze_source(source: str, **options) -> tuple[dict, int]:

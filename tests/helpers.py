@@ -7,9 +7,11 @@ oracle bisects on sign changes. The two reference implementations of
 library on ``Fraction`` values, where the library runs them on integers over
 a common denominator. Where a library value is checked against an oracle, the
 oracle stays the authority. ``sym_det`` is a cofactor-expansion cross-check
-for the library's Pfaffian route, ``SUBSUMED_RULES`` keeps three
-inference rules that the engine dropped because other rules subsume them, and
-the two filtration renderers write a document in each input format.
+for the library's Pfaffian route, ``exponentiality_check_reference`` is the
+exponentiality screen without the library's nilpotent shortcut,
+``SUBSUMED_RULES`` keeps three inference rules that the engine dropped
+because other rules subsume them, and the two filtration renderers write a
+document in each input format.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from math import lcm
 from typing import Sequence
 
 from orbitrank.inference import _max_interval, _stable_hyps
-from orbitrank.linalg import Mat
+from orbitrank.liealg import (
+    ExponentialityVerdict,
+    NotSolvable,
+    _has_nonzero_imaginary_eigenvalue,
+    ad_matrix,
+    is_solvable,
+)
+from orbitrank.linalg import Mat, charpoly
 from orbitrank.poly import MPoly, UPoly, _frac
 
 
@@ -150,6 +159,26 @@ def restrict_to_segment_reference(poly, start, end) -> UPoly:
                 term = term * line
         total = total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# the exponentiality screen as it ran before the Engel shortcut
+
+def exponentiality_check_reference(L, seed: int = 0, trials: int = 50) -> ExponentialityVerdict:
+    """The spectral screen run on every candidate, nilpotent algebras included:
+    each basis vector, then ``trials`` seeded random rational combinations."""
+    if not is_solvable(L):
+        raise NotSolvable("exponentiality screen requires a solvable algebra")
+    candidates = [tuple(Fraction(1 if i == t else 0) for i in range(L.dim)) for t in range(L.dim)]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        candidates.append(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(L.dim))
+        )
+    for x in candidates:
+        if any(x) and _has_nonzero_imaginary_eigenvalue(charpoly(ad_matrix(L, x))):
+            return ExponentialityVerdict(status="certified_no", witness=x)
+    return ExponentialityVerdict(status="heuristic_yes")
 
 
 # ---------------------------------------------------------------------------

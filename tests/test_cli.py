@@ -98,6 +98,13 @@ def test_analyze_lie_file_of_dimension_zero(tmp_path):
     assert_input_error(run_cli("analyze", str(empty)), "line 2, column 5", "[1, 64]")
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_lie_file_not_utf8(tmp_path, command):
+    bad = tmp_path / "bad.lie"
+    bad.write_bytes(b"lie 1\ndim 2\nbasis X Y\xff\n")
+    assert_input_error(run_cli(command, str(bad)), "line 3, column 10", "not valid UTF-8")
+
+
 @pytest.mark.parametrize("spec", ["catalog:abelian:65", "catalog:heisenberg:32"])
 def test_analyze_catalog_spec_above_dimension_cap(spec):
     assert_input_error(run_cli("analyze", spec), "above the cap of 64")
@@ -199,12 +206,62 @@ def test_infer_refuses_keys_and_values_it_used_to_drop(tmp_path, name, doc, frag
 
 
 @pytest.mark.parametrize(
+    "name,doc,fragments",
+    [
+        (
+            "doc.filt",
+            "filtration 1\nnode total\n",
+            ["error: line 2: ", "'total' is reserved"],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": "total"}]}',
+            ["error: nodes[0].name: ", "'total' is reserved"],
+        ),
+        (
+            "doc.filt",
+            "filtration 1\nnode a\nnode b\nattr kind = generic\nattr ambient_dim = 65\n",
+            ["error: line 5: ", "ambient_dim=65 outside [0, 64]"],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": "a"}, {"name": "b", "attrs": {"ambient_dim": 65}}]}',
+            ["error: nodes[1].attrs.ambient_dim: ", "ambient_dim=65 outside [0, 64]"],
+        ),
+        (
+            "doc.filt",
+            "filtration 1\nnode a\nattr kind = elementary\nattr spectrum_dim = 2\n",
+            ["error: line 4: ", "spectrum_dim=2 contradicts kind 'elementary'"],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": "a", "attrs": {"kind": "elementary", "spectrum_dim": 2}}]}',
+            ["error: nodes[0].attrs.spectrum_dim: ", "spectrum_dim=2 contradicts kind 'elementary'"],
+        ),
+    ],
+    ids=[
+        "reserved_name_text",
+        "reserved_name_json",
+        "out_of_range_text",
+        "out_of_range_json",
+        "kind_contradiction_text",
+        "kind_contradiction_json",
+    ],
+)
+def test_infer_invalid_filtration_names_its_place(tmp_path, name, doc, fragments):
+    path = tmp_path / name
+    path.write_text(doc)
+    assert_input_error(run_cli("infer", str(path)), *fragments)
+
+
+@pytest.mark.parametrize(
     "name,content,fragments",
     [
         ("doc.filt", b"filtration 1\nnode a\xff\n", ["error: line 2: ", "not valid UTF-8"]),
+        ("doc.filt", b"filtration 1\rnode a\xff\r", ["error: line 2: ", "not valid UTF-8"]),
         ("doc.json", b"[" * 200000, ["error: line 1: ", "nested too deeply"]),
     ],
-    ids=["not_utf8", "nested_too_deeply"],
+    ids=["not_utf8", "not_utf8_cr_line_ends", "nested_too_deeply"],
 )
 def test_infer_undecodable_document(tmp_path, name, content, fragments):
     path = tmp_path / name

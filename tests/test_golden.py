@@ -1,10 +1,13 @@
 """Golden reports: `analyze --json` output must repeat byte for byte.
 
-Each file in tests/golden/ was written by the code before the integer
-rewrite it guards: `charpoly` and `restrict_to_segment` for the first twelve,
-`MPoly.square` for dense_axb4. A change that is meant to keep reports
-identical must keep this test green. The dense inputs are
-`change_basis(axb^k, M)` for the fixed integer M named in each file's header.
+Each file in tests/golden/ was written by the code before the change it
+guards: the integer `charpoly` and `restrict_to_segment` for the first twelve,
+`MPoly.square` for dense_axb4, and the Engel shortcut of the exponentiality
+screen (nilpotent algebras run no trials) for filiform_10 and
+dense_heisenberg2. A change that is meant to keep reports identical must keep
+this test green. The dense inputs are `change_basis(axb^k, M)` and
+`change_basis(heisenberg:2, M)` for the fixed integer M named in each file's
+header.
 
 Regenerate after a deliberate report change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -38,6 +41,8 @@ CASES = [
     ("dense_axb2", 0, [os.path.join(GOLDEN, "dense_axb2.lie"), "--samples", "20"]),
     ("dense_axb3", 0, [os.path.join(GOLDEN, "dense_axb3.lie"), "--samples", "6"]),
     ("dense_axb4", 0, [os.path.join(GOLDEN, "dense_axb4.lie"), "--samples", "2"]),
+    ("filiform_10", 0, ["catalog:filiform:10"]),
+    ("dense_heisenberg2", 0, [os.path.join(GOLDEN, "dense_heisenberg2.lie")]),
 ]
 
 

@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rand_matrix
+from helpers import exponentiality_check_reference, rand_fraction, rand_matrix
 from orbitrank.catalog import (
     CATALOG,
     abelian,
     axb,
     catalog,
+    catalog_from_spec,
     direct_sum,
     e2,
     filiform,
@@ -18,7 +21,7 @@ from orbitrank.catalog import (
     oscillator,
     sl2,
 )
-from orbitrank import poly
+from orbitrank import liealg, poly
 from orbitrank.coadjoint import p_polynomial
 from orbitrank.liealg import (
     DIM_CAP,
@@ -42,7 +45,8 @@ from orbitrank.liealg import (
     validate,
 )
 from orbitrank.lieio import parse_lie
-from orbitrank.linalg import Mat, det
+from orbitrank.linalg import Mat, charpoly, det
+from orbitrank.poly import UPoly
 from orbitrank.report import analyze_algebra
 
 
@@ -255,6 +259,55 @@ class TestExponentiality:
     def test_non_solvable_rejected(self):
         with pytest.raises(NotSolvable):
             exponentiality_check(sl2())
+
+    @pytest.mark.parametrize(
+        "spec", ["axb", "oscillator", "e2", "grelaud:1", "grelaud:1/2", "direct_sum:axb+heisenberg:1"]
+    )
+    def test_agrees_with_reference_on_non_nilpotent_algebras(self, spec):
+        L = catalog_from_spec(spec)
+        assert not is_nilpotent(L)
+        for seed in (0, 5):
+            assert exponentiality_check(L, seed=seed) == exponentiality_check_reference(L, seed=seed)
+
+    def test_nilpotent_algebras_compute_no_charpoly(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m.rows)
+            return charpoly(m)
+
+        monkeypatch.setattr(liealg, "charpoly", counting)
+        for L in (heisenberg(2), filiform(6), abelian(3)):
+            assert exponentiality_check(L).status == "heuristic_yes"
+        assert calls == []
+        assert exponentiality_check(axb(), trials=50).status == "heuristic_yes"
+        assert calls == [2] * (2 + 50)
+
+
+_NILPOTENT_SPECS = [f"abelian:{n}" for n in (1, 2, 3)] + [f"heisenberg:{m}" for m in (1, 2, 3)] + [
+    f"filiform:{n}" for n in range(4, 9)
+]
+
+
+def _integer_gl(rng, n):
+    while True:
+        m = Mat.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        if det(m) != 0:
+            return m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(_NILPOTENT_SPECS), st.integers(min_value=0, max_value=2**32))
+def test_nilpotent_shortcut_is_exact_in_dense_bases(spec, seed):
+    """On change_basis(L, M) of a nilpotent L, the screen's verdict equals the
+    full candidate loop's, and ad(x) has characteristic polynomial t^n."""
+    rng = random.Random(seed)
+    base = catalog_from_spec(spec)
+    L = change_basis(base, _integer_gl(rng, base.dim))
+    assert is_nilpotent(L)
+    assert exponentiality_check(L, seed=seed) == exponentiality_check_reference(L, seed=seed)
+    x = [rand_fraction(rng) for _ in range(L.dim)]
+    assert charpoly(ad_matrix(L, x)) == UPoly((0,) * L.dim + (1,))
 
 
 class TestCatalogAndSums:
