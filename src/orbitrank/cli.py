@@ -18,6 +18,14 @@ def _fail(message: str) -> int:
     return EXIT_INPUT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exit 1 on usage errors; exit 2 means a refusal."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.exit(_fail(message))
+
+
 def _write_json(payload: str, dest: str) -> None:
     if dest == "-":
         sys.stdout.write(payload)
@@ -37,6 +45,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.samples < 1:
+        return _fail(f"--samples must be at least 1, got {args.samples}")
     options = dict(
         samples=args.samples,
         seed=args.seed,
@@ -52,7 +62,7 @@ def cmd_analyze(args) -> int:
             return _fail(f"{source}: {exc}")
         reports.append(report)
         worst = max(worst, code)
-    if args.json is None or args.json != "-":
+    if args.json != "-":
         for report in reports:
             sys.stdout.write(render_text(report))
     if args.json is not None:
@@ -94,8 +104,8 @@ def cmd_infer(args) -> int:
         payload = {
             "facts": {
                 t: {
-                    "rr": list(table.rr_interval(t)),
-                    "tsr": list(table.tsr_interval(t)),
+                    "rr": table.rr_interval(t),
+                    "tsr": table.tsr_interval(t),
                     "gr": table.gr_fact(t),
                 }
                 for t in targets
@@ -105,8 +115,8 @@ def cmd_infer(args) -> int:
                     "rule": e.rule,
                     "target": e.target,
                     "fact": e.fact,
-                    "old": e.old if not isinstance(e.old, tuple) else list(e.old),
-                    "new": e.new if not isinstance(e.new, tuple) else list(e.new),
+                    "old": e.old,
+                    "new": e.new,
                     "note": e.note,
                 }
                 for e in table.trace
@@ -132,7 +142,7 @@ def cmd_infer(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbit-rank",
         description="Exact rank invariants and coadjoint-orbit analysis "
         "for solvable Lie algebras given by rational structure constants.",

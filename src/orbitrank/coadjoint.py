@@ -127,6 +127,8 @@ def estimate_open_orbit_components(
     resulting graph is unchanged by that shortcut. Deterministic given
     (samples, seed).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     poly = p_polynomial(L)
     if poly.is_zero():
         return ComponentEstimate(samples, seed, 0, ())

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .poly import UPoly, _frac
+from .poly import UPoly, _den, _frac
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ def charpoly(m: Mat) -> UPoly:
     n = m.rows
     if n == 0:
         return UPoly((1,))
-    d = lcm(*(x.denominator for row in m.entries for x in row))
+    d = _den(x for row in m.entries for x in row)
     a = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
     coeffs = [1]  # c_0 = 1 for t^n, then c_1 ... c_n
     mk = [[0] * n for _ in range(n)]

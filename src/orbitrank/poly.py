@@ -8,7 +8,7 @@ returns a fresh polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 Exp = tuple[int, ...]
@@ -16,6 +16,45 @@ Exp = tuple[int, ...]
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _den(coeffs) -> int:
+    return lcm(*(c.denominator for c in coeffs))
+
+
+def _pack(polys: Sequence[Mapping[Exp, Fraction]], times: int):
+    """(d, base, [(key, c * d)] per dict), d the common denominator, keys the
+    exponents in base times * maxexp + 1: adding ``times`` keys adds vectors."""
+    den = _den(c for t in polys for c in t.values())
+    base = times * max((e for t in polys for exp in t for e in exp), default=0) + 1
+    out = []
+    for t in polys:
+        out.append(items := [])
+        for exp, c in t.items():
+            key = 0
+            for e in exp:
+                key = key * base + e
+            items.append((key, c.numerator * (den // c.denominator)))
+    return den, base, out
+
+
+def _mpoly(nvars: int, terms: dict) -> "MPoly":
+    out = MPoly.__new__(MPoly)
+    out.nvars, out.terms = nvars, terms
+    return out
+
+
+def _unpack(acc: dict[int, int], base: int, nvars: int, scale: int) -> "MPoly":
+    """c / scale at each unpacked key of ``acc``, as an MPoly."""
+    terms = {}
+    while acc:
+        key, c = acc.popitem()
+        if c:
+            exp = [0] * nvars
+            for i in range(nvars - 1, -1, -1):
+                key, exp[i] = divmod(key, base)
+            terms[tuple(exp)] = Fraction(c, scale)
+    return _mpoly(nvars, terms)
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
@@ -44,9 +83,7 @@ class MPoly:
             for exp, coeff in terms.items():
                 exp = tuple(int(e) for e in exp)
                 if len(exp) != nvars:
-                    raise ValueError(
-                        f"exponent vector of length {len(exp)}, expected {nvars}"
-                    )
+                    raise ValueError(f"exponent vector of length {len(exp)}, expected {nvars}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
                 c = _frac(coeff)
@@ -113,16 +150,10 @@ class MPoly:
                 terms[exp] = s
             else:
                 terms.pop(exp, None)
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return _mpoly(self.nvars, terms)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
+        return _mpoly(self.nvars, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -132,10 +163,7 @@ class MPoly:
             c = _frac(other)
             if not c:
                 return MPoly(self.nvars)
-            out = MPoly.__new__(MPoly)
-            out.nvars = self.nvars
-            out.terms = {exp: coeff * c for exp, coeff in self.terms.items()}
-            return out
+            return _mpoly(self.nvars, {exp: coeff * c for exp, coeff in self.terms.items()})
         self._check_same_ring(other)
         terms: dict[Exp, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -146,36 +174,16 @@ class MPoly:
                     terms[exp] = s
                 else:
                     terms.pop(exp, None)
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return _mpoly(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def square(self) -> "MPoly":
-        """self * self, accumulated on Python ints.
-
-        The coefficients are integers over one common denominator d, and each
-        exponent vector is packed into one int key in base 2 * maxexp + 1, so
-        adding two keys adds the vectors without a carry. The upper triangle
-        of the product is summed once (c_i**2 on the diagonal, 2*c_i*c_j off
-        it), then the keys are unpacked and the sums divided by d**2. The
-        result is the same exact polynomial that ``Fraction`` arithmetic gives.
+        """self * self on Python ints over the common denominator d, keys
+        packed in base 2 * maxexp + 1: each pair of terms is summed once
+        (c_i**2 on the diagonal, 2*c_i*c_j off it), then divided by d**2.
         """
-        out = MPoly.__new__(MPoly)
-        out.nvars = n = self.nvars
-        out.terms = terms = {}
-        if not self.terms:
-            return out
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        base = 2 * max(max(exp, default=0) for exp in self.terms) + 1
-        items = []
-        for exp, c in self.terms.items():
-            key = 0
-            for e in exp:
-                key = key * base + e
-            items.append((key, c.numerator * (den // c.denominator)))
+        den, base, (items,) = _pack([self.terms], 2)
         acc: dict[int, int] = {}
         get = acc.get
         for i, (ki, ci) in enumerate(items):
@@ -184,15 +192,7 @@ class MPoly:
             for kj, cj in items[i + 1 :]:
                 k = ki + kj
                 acc[k] = get(k, 0) + twice * cj
-        scale = den * den
-        while acc:
-            key, c = acc.popitem()
-            if c:
-                exp = [0] * n
-                for i in range(n - 1, -1, -1):
-                    key, exp[i] = divmod(key, base)
-                terms[tuple(exp)] = Fraction(c, scale)
-        return out
+        return _unpack(acc, base, self.nvars, den * den)
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -222,12 +222,9 @@ class MPoly:
     def restrict_to_segment(self, start: Sequence, end: Sequence) -> "UPoly":
         """Restriction to the line t -> start + t*(end - start) as a UPoly in t.
 
-        The sum runs on Python ints over one common denominator each: the
-        start point is P/D and the direction Q/D, the coefficients are
-        integers over C. Each variable's powers (P_i + Q_i t)^e are built once,
-        a term of degree deg is scaled by D**(top - deg) where top is the total
-        degree, and the sum is divided by C * D**top once at the end. The
-        result is the same exact polynomial that ``Fraction`` arithmetic gives.
+        On Python ints: start P/D, direction Q/D, coefficients over C. The
+        powers (P_i + Q_i t)^e are built once, a term of degree deg is scaled
+        by D**(top - deg), and the sum is divided by C * D**top at the end.
         """
         if len(start) != self.nvars or len(end) != self.nvars:
             raise ValueError("segment endpoints must match the variable count")
@@ -235,8 +232,8 @@ class MPoly:
             return UPoly.zero()
         p = [_frac(x) for x in start]
         q = [_frac(b) - a for a, b in zip(p, end)]
-        den = lcm(*(x.denominator for x in p + q))
-        cden = lcm(*(c.denominator for c in self.terms.values()))
+        den = _den(p + q)
+        cden = _den(self.terms.values())
         top = self.total_degree()
         den_pow = [den**k for k in range(top + 1)]
         # powers[i][e]: coefficients of (P_i + Q_i t)^e, lowest degree first
@@ -404,25 +401,12 @@ class UPoly:
         return "UPoly(" + " + ".join(parts) + ")"
 
 
-def poly_content(p: UPoly) -> Fraction:
-    """Positive rational content (gcd of numerators over lcm of denominators)."""
-    if p.is_zero():
-        return Fraction(1)
-    from math import gcd, lcm
-
-    num = 0
-    den = 1
-    for c in p.coeffs:
-        num = gcd(num, abs(c.numerator))
-        den = lcm(den, c.denominator)
-    return Fraction(num, den)
-
-
 def primitive_part(p: UPoly) -> UPoly:
-    """Divide out the positive content; the sign of every value is preserved."""
+    """Divide out the positive content (gcd of numerators over lcm of
+    denominators); the sign of every value is preserved."""
     if p.is_zero():
         return p
-    return p * (1 / poly_content(p))
+    return p * Fraction(_den(p.coeffs), gcd(*(c.numerator for c in p.coeffs)))
 
 
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
@@ -456,11 +440,11 @@ def squarefree_part(p: UPoly) -> UPoly:
 
 
 def sym_pfaffian(m: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Pfaffian of a skew-symmetric matrix of polynomials.
+    """Pfaffian of a skew-symmetric matrix of polynomials; zero for odd size.
 
-    Recursive expansion along the first row; for odd size the Pfaffian is the
-    zero polynomial. Raises ValueError if the matrix is not skew-symmetric
-    with zero diagonal (as polynomials).
+    First-row expansion memoized on the remaining indices (at most 2**n
+    states), on Python ints: Pf(B) = Pf(d*B) / d**(n/2), keys packed in base
+    (n/2) * maxexp + 1. Raises ValueError unless skew with zero diagonal.
     """
     n = len(m)
     if n == 0:
@@ -469,27 +453,32 @@ def sym_pfaffian(m: Sequence[Sequence[MPoly]]) -> MPoly:
     for i in range(n):
         if len(m[i]) != n:
             raise ValueError("matrix is not square")
+        if {p.nvars for p in m[i]} != {nvars}:
+            raise ValueError("mixed variable counts")
         if not m[i][i].is_zero():
             raise ValueError(f"nonzero diagonal entry at ({i},{i})")
         for j in range(i + 1, n):
             if not (m[i][j] + m[j][i]).is_zero():
                 raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
-    if n % 2 == 1:
+    if n % 2:
         return MPoly.zero(nvars)
+    den, base, packed = _pack([p.terms for row in m for p in row], n // 2)
+    memo = {(): {0: 1}}
 
-    def pf(indices: list[int]) -> MPoly:
-        if not indices:
-            return MPoly.constant(1, nvars)
-        i0 = indices[0]
-        rest = indices[1:]
-        total = MPoly.zero(nvars)
-        for t, j in enumerate(rest):
-            entry = m[i0][j]
-            if entry.is_zero():
-                continue
-            sub = pf(rest[:t] + rest[t + 1 :])
-            term = entry * sub
-            total = total + (term if t % 2 == 0 else -term)
-        return total
+    def pf(idx: tuple[int, ...]) -> dict[int, int]:
+        if idx not in memo:
+            row, rest = idx[0] * n, idx[1:]
+            acc = {}
+            get = acc.get
+            for t, j in enumerate(rest):
+                if packed[row + j]:
+                    sub = pf(rest[:t] + rest[t + 1 :]).items()
+                    for k1, c1 in packed[row + j]:
+                        c1 = -c1 if t % 2 else c1
+                        for k2, c2 in sub:
+                            k = k1 + k2
+                            acc[k] = get(k, 0) + c1 * c2
+            memo[idx] = {k: c for k, c in acc.items() if c}
+        return memo[idx]
 
-    return pf(list(range(n)))
+    return _unpack(pf(tuple(range(n))), base, nvars, den ** (n // 2))

@@ -35,10 +35,6 @@ def _vector(v) -> list[str]:
     return [str(Fraction(x)) for x in v]
 
 
-def _interval(iv: tuple[int, int | None]) -> list:
-    return [iv[0], iv[1]]
-
-
 def analyze_algebra(
     L: LieAlgebra,
     samples: int = 200,
@@ -147,8 +143,8 @@ def analyze_algebra(
     rr_iv = table.rr_interval()
     tsr_iv = table.tsr_interval()
     report["inference"] = {
-        "rr_interval": _interval(rr_iv),
-        "tsr_interval": _interval(tsr_iv),
+        "rr_interval": list(rr_iv),
+        "tsr_interval": list(tsr_iv),
         "gr": table.gr_fact(),
         "agreement": rr_iv == (rr, rr) and tsr_iv == (sr, sr),
         "trace_length": len(table.trace),

@@ -2,10 +2,10 @@
 
 The oracles here deliberately avoid the library's own code paths: the rank
 oracle enumerates square minors with its own determinant, and the root-count
-oracle bisects on sign changes. The two reference implementations of
-``charpoly`` and ``restrict_to_segment`` run the same algorithms as the
-library on ``Fraction`` values, where the library runs them on integers over
-a common denominator. Where a library value is checked against an oracle, the
+oracle bisects on sign changes. The three reference implementations of
+``charpoly``, ``restrict_to_segment`` and ``sym_pfaffian`` run the same
+algorithms as the library on ``Fraction`` values, where the library runs
+them on integers over a common denominator (and memoizes the Pfaffian). Where a library value is checked against an oracle, the
 oracle stays the authority. ``sym_det`` is a cofactor-expansion cross-check
 for the library's Pfaffian route, ``exponentiality_check_reference`` is the
 exponentiality screen without the library's nilpotent shortcut,
@@ -144,6 +144,42 @@ def charpoly_reference(m: Mat) -> UPoly:
         mk = m.mul(shifted)
         coeffs.append(-mk.trace() / k)
     return UPoly(list(reversed(coeffs)))
+
+
+def sym_pfaffian_reference(m: Sequence[Sequence[MPoly]]) -> MPoly:
+    """Pfaffian by plain first-row expansion in MPoly arithmetic, (n-1)!!
+    products; zero for odd size, ValueError unless skew with zero diagonal."""
+    n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
+    nvars = m[0][0].nvars
+    for i in range(n):
+        if len(m[i]) != n:
+            raise ValueError("matrix is not square")
+        if not m[i][i].is_zero():
+            raise ValueError(f"nonzero diagonal entry at ({i},{i})")
+        for j in range(i + 1, n):
+            if not (m[i][j] + m[j][i]).is_zero():
+                raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
+    if n % 2 == 1:
+        return MPoly.zero(nvars)
+
+    def pf(indices: list[int]) -> MPoly:
+        if not indices:
+            return MPoly.constant(1, nvars)
+        i0 = indices[0]
+        rest = indices[1:]
+        total = MPoly.zero(nvars)
+        for t, j in enumerate(rest):
+            entry = m[i0][j]
+            if entry.is_zero():
+                continue
+            sub = pf(rest[:t] + rest[t + 1 :])
+            term = entry * sub
+            total = total + (term if t % 2 == 0 else -term)
+        return total
+
+    return pf(list(range(n)))
 
 
 def restrict_to_segment_reference(poly, start, end) -> UPoly:

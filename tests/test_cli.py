@@ -105,6 +105,24 @@ def test_lie_file_not_utf8(tmp_path, command):
     assert_input_error(run_cli(command, str(bad)), "line 3, column 10", "not valid UTF-8")
 
 
+@pytest.mark.parametrize("args, fragment", [(["--samples", "abc"], "--samples"), (["--bogus"], "--bogus")])
+def test_usage_error_exits_1_with_usage(args, fragment):
+    res = run_cli("analyze", "catalog:axb", *args)
+    assert res.returncode == 1
+    assert res.stderr.startswith("usage: orbit-rank")
+    assert "Traceback" not in res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0]
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_analyze_samples_below_one_rejected(samples):
+    res = run_cli("analyze", "catalog:axb", "--samples", samples, "--json", "-")
+    assert_input_error(res, "--samples must be at least 1")
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("spec", ["catalog:abelian:65", "catalog:heisenberg:32"])
 def test_analyze_catalog_spec_above_dimension_cap(spec):
     assert_input_error(run_cli("analyze", spec), "above the cap of 64")

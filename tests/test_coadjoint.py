@@ -1,9 +1,12 @@
 import os
 import random
+import time
 from fractions import Fraction
 
+import pytest
+
 from helpers import rand_matrix, sym_det
-from orbitrank.catalog import abelian, axb, direct_sum, e2, filiform, grelaud, heisenberg, oscillator
+from orbitrank.catalog import abelian, axb, catalog_from_spec, direct_sum, e2, filiform, grelaud, heisenberg, oscillator
 from orbitrank.coadjoint import (
     b_matrix_at,
     b_matrix_sym,
@@ -96,6 +99,25 @@ class TestPPolynomial:
         pf = sym_pfaffian(b_matrix_sym(L))
         assert p_polynomial(L) == pf * pf
 
+    def test_pfaffian_of_dense_axb5_squares_to_det(self):
+        # dense dim 10, where a first-row expansion without the memo forms
+        # 945 products; M follows perfbench's draw_matrix rule: entries in
+        # [-2, 2], redrawn until invertible
+        rng = random.Random(1)
+        while True:
+            m = Mat.from_rows([[rng.randint(-2, 2) for _ in range(10)] for _ in range(10)])
+            if det(m):
+                break
+        L = change_basis(catalog_from_spec("direct_sum:axb+axb+axb+axb+axb"), m)
+        start = time.monotonic()
+        pf = sym_pfaffian(b_matrix_sym(L))
+        assert time.monotonic() - start < 10.0
+        assert len(pf.terms) == 2002
+        rng = random.Random(7)
+        for _ in range(3):
+            xi = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(10)]
+            assert pf.evaluate(xi) ** 2 == det(b_matrix_at(L, xi))
+
     def test_open_orbits(self):
         assert has_open_orbits(axb())
         assert has_open_orbits(direct_sum(axb(), axb()))
@@ -174,6 +196,12 @@ class TestComponentEstimate:
             for n in (200, 400, 600)
         ]
         assert all(a >= b for a, b in zip(counts4, counts4[1:]))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("L", [axb(), heisenberg(1)], ids=["axb", "heisenberg"])
+    def test_samples_below_one_rejected(self, L, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            estimate_open_orbit_components(L, samples)
 
     def test_e2_even_though_not_exponential(self):
         # purely coadjoint data is defined for any algebra

@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import det_by_permutations, rand_skew, sym_det
+from helpers import det_by_permutations, rand_skew, sym_det, sym_pfaffian_reference
 from orbitrank.poly import (
     MPoly,
     UPoly,
@@ -133,6 +134,29 @@ class TestPfaffian:
             sym_pfaffian([[MPoly.zero(n), a], [a, MPoly.zero(n)]])
         with pytest.raises(ValueError):
             sym_pfaffian([[a, a], [-a, MPoly.zero(n)]])
+
+    @pytest.mark.parametrize("pfaffian", [sym_pfaffian, sym_pfaffian_reference])
+    @pytest.mark.parametrize(
+        "place, shift, message",
+        [
+            ((1, 3), xi(1, 2) * Fraction(1, 7), "entries (1,3) and (3,1) are not opposite"),
+            ((2, 2), xi(1, 2) * Fraction(1, 7), "nonzero diagonal entry at (2,2)"),
+            ((1, 3), None, "mixed variable counts"),
+        ],
+    )
+    def test_both_pfaffians_reject_bad_4x4(self, pfaffian, place, shift, message):
+        m = [[MPoly.zero(2) for _ in range(4)] for _ in range(4)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                m[i][j] = xi(0, 2) * (i + 1) - xi(1, 2) * j
+                m[j][i] = -m[i][j]
+        i, j = place
+        if shift is None:  # the pair moves to a ring in three variables
+            m[i][j], m[j][i] = xi(2, 3), -xi(2, 3)
+        else:
+            m[i][j] = m[i][j] + shift
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pfaffian(m)
 
     def test_squares_to_determinant_random(self):
         rng = random.Random(11)

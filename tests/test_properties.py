@@ -1,11 +1,17 @@
 """Property-based checks of the algebraic invariants."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import charpoly_reference, det_by_permutations, restrict_to_segment_reference
+from helpers import (
+    charpoly_reference,
+    det_by_permutations,
+    restrict_to_segment_reference,
+    sym_pfaffian_reference,
+)
 from orbitrank.linalg import Mat, charpoly, kernel_basis, rref_rank
 from orbitrank.poly import MPoly, UPoly, sym_pfaffian
 from orbitrank.sturm import sturm_root_count
@@ -184,3 +190,35 @@ def square_cases(draw):
 @example(MPoly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1, (1, 0, 1, 0): 1, (0, 1, 0, 1): 1}))
 def test_square_matches_fraction_product(poly):
     assert poly.square() == poly * poly
+
+
+@st.composite
+def skew_cases(draw):
+    """A skew n x n matrix of MPolys, n in 1-8, in 0-4 variables: about a
+    third of the upper entries are zero, the others have one to three terms
+    of degree 0-2."""
+    n = draw(st.sampled_from(range(1, 9)))
+    nvars = draw(st.sampled_from(range(5)))
+    monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= 2]
+    entry = st.dictionaries(st.sampled_from(monomials), coefficients.filter(bool), min_size=1, max_size=3)
+    m = [[MPoly.zero(nvars) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.sampled_from((True, True, False))):
+                m[i][j] = MPoly(nvars, draw(entry))
+                m[j][i] = -m[i][j]
+    return m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(skew_cases())
+@example([[MPoly.zero(0)]])
+@example([[MPoly.zero(2)] * 2] * 2)
+@example(
+    [
+        [MPoly.zero(1), MPoly(1, {(2,): Fraction(1, 3)})],
+        [MPoly(1, {(2,): Fraction(-1, 3)}), MPoly.zero(1)],
+    ]
+)
+def test_sym_pfaffian_matches_fraction_reference(m):
+    assert sym_pfaffian(m) == sym_pfaffian_reference(m)
