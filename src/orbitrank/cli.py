@@ -59,12 +59,17 @@ def cmd_analyze(args) -> int:
         try:
             report, code = analyze_source(source, **options)
         except (OSError, LieParseError, LieAlgebraError, ValueError) as exc:
-            return _fail(f"{source}: {exc}")
+            code = _fail(f"{source}: {exc}")
+            if len(args.inputs) == 1:
+                return code
+            # in a batch, a bad input gives an error record in its place
+            report = {"source": source, "error": str(exc)}
         reports.append(report)
         worst = max(worst, code)
     if args.json != "-":
         for report in reports:
-            sys.stdout.write(render_text(report))
+            if "error" not in report:
+                sys.stdout.write(render_text(report))
     if args.json is not None:
         payload = report_json(reports[0] if len(reports) == 1 else reports)
         _write_json(payload, args.json)

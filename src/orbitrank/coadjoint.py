@@ -10,9 +10,8 @@ decides the existence question outright.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra, cached
 from .linalg import Mat, Subspace, kernel_basis, rref_rank
@@ -72,8 +71,7 @@ def has_open_orbits(L: LieAlgebra) -> bool:
     return not p_polynomial(L).is_zero()
 
 
-@dataclass(frozen=True)
-class OrbitPointData:
+class OrbitPointData(NamedTuple):
     orbit_dim: int
     isotropy: Subspace
     open: bool
@@ -90,8 +88,7 @@ def orbit_data_at(L: LieAlgebra, xi: Sequence) -> OrbitPointData:
     )
 
 
-@dataclass(frozen=True)
-class ComponentEstimate:
+class ComponentEstimate(NamedTuple):
     """Certified lower-structure estimate of open-orbit components.
 
     Every certificate edge joins two sample points at which P is nonzero,

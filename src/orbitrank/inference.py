@@ -34,17 +34,17 @@ of R4, R11 and R14, were removed and the other ids kept):
   R15 liminary special solving series (fiber dims infinite, ..., infinite, 1):
       rr(total) = spectrum dimension of the last node
   R16 gr(total) zero and the algebra nonzero: rr(total) >= 1
-  R17 elementary node (the compacts): rr = [0, 0], tsr = [2, 2]
+  R17 elementary node (the compacts, which are AF): rr = [0, 0], tsr = [1, 1]
       (standard facts, flagged in the trace; disable for purist runs)
   R18 group algebra of a group other than the real line: tsr(total) >= 2
+  R19 nonzero index map K1(J_k/J_k-1) -> K0(J_k-1): tsr(J_k) >= 2, so tsr(total) >= 2
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .invariants import GroupFlags, real_rank
 from .liealg import DIM_CAP, LieAlgebra
@@ -90,8 +90,7 @@ class Contradiction(Exception):
         self.hi = hi
 
 
-@dataclass(frozen=True)
-class NodeAnnotation:
+class NodeAnnotation(NamedTuple):
     kind: str = "generic"
     spectrum_dim: int | None = None
     spectrum_compact: bool | None = None
@@ -101,23 +100,21 @@ class NodeAnnotation:
     separable: bool | None = None
     fiber_dim: int | str | None = None  # int, INFINITE, or None for unknown
     ambient_dim: int | None = None
+    index_to_below: str | None = None  # "zero", "nonzero", or None for unknown
 
 
-@dataclass(frozen=True)
-class FiltrationNode:
+class FiltrationNode(NamedTuple):
     name: str
     ann: NodeAnnotation
 
 
-@dataclass(frozen=True)
-class AlgebraFlags:
+class AlgebraFlags(NamedTuple):
     liminary: bool | None = None
     group_derived: bool = False
     is_real_line_group: bool = False
 
 
-@dataclass(frozen=True)
-class FiltrationDoc:
+class FiltrationDoc(NamedTuple):
     nodes: tuple[FiltrationNode, ...]
     flags: AlgebraFlags = AlgebraFlags()
 
@@ -133,7 +130,7 @@ def _fill(ann: NodeAnnotation, node: str, **implied) -> NodeAnnotation:
             raise InvalidFiltration(
                 f"node {node!r}: {key}={current!r} contradicts kind {ann.kind!r}", node, key
             )
-    return replace(ann, **updates) if updates else ann
+    return ann._replace(**updates) if updates else ann
 
 
 def normalize_doc(doc: FiltrationDoc) -> FiltrationDoc:
@@ -149,6 +146,10 @@ def normalize_doc(doc: FiltrationDoc) -> FiltrationDoc:
             raise InvalidFiltration("'total' is reserved for the whole algebra", node.name)
         seen.add(node.name)
         ann = node.ann
+        if not nodes and ann.index_to_below == "nonzero":
+            raise InvalidFiltration(
+                f"node {node.name!r}: no ideal below the first node", node.name, "index_to_below"
+            )
         if ann.kind not in KINDS:
             raise InvalidFiltration(f"node {node.name!r}: unknown kind {ann.kind!r}")
         for key in ("spectrum_dim", "ambient_dim"):
@@ -187,10 +188,11 @@ def normalize_doc(doc: FiltrationDoc) -> FiltrationDoc:
     return FiltrationDoc(tuple(nodes), doc.flags)
 
 
-@dataclass
 class Interval:
-    lo: int
-    hi: int | None  # None = unbounded above
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int | None):
+        self.lo, self.hi = lo, hi  # hi None = unbounded above
 
     def as_tuple(self) -> tuple[int, int | None]:
         return (self.lo, self.hi)
@@ -199,16 +201,14 @@ class Interval:
         return f"[{self.lo},{'inf' if self.hi is None else self.hi}]"
 
 
-@dataclass
 class NodeFacts:
-    rr: Interval
-    tsr: Interval
-    gr: str = "unknown"
-    spectrum_finite: bool = False
+    __slots__ = ("rr", "tsr", "gr", "spectrum_finite")
+
+    def __init__(self, rr: Interval, tsr: Interval, spectrum_finite: bool = False):
+        self.rr, self.tsr, self.gr, self.spectrum_finite = rr, tsr, "unknown", spectrum_finite
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     rule: str
     target: str  # node name or "total"
     fact: str  # "rr" | "tsr" | "gr" | "spectrum_finite"
@@ -217,11 +217,11 @@ class TraceEntry:
     note: str = ""
 
 
-@dataclass
 class FactTable:
-    nodes: dict[str, NodeFacts]
-    total: NodeFacts
-    trace: list[TraceEntry] = field(default_factory=list)
+    __slots__ = ("nodes", "total", "trace")
+
+    def __init__(self, nodes: dict[str, NodeFacts], total: NodeFacts):
+        self.nodes, self.total, self.trace = nodes, total, []
 
     def facts(self, target: str) -> NodeFacts:
         return self.total if target == "total" else self.nodes[target]
@@ -399,12 +399,18 @@ def _rule_r17(doc, table):
     for node in doc.nodes:
         if node.ann.kind == "elementary":
             yield (node.name, "rr", (0, 0), note)
-            yield (node.name, "tsr", (2, 2), note)
+            yield (node.name, "tsr", (1, 1), note)
 
 
 def _rule_r18(doc, table):
     if doc.flags.group_derived and not doc.flags.is_real_line_group:
         yield ("total", "tsr", (2, None), "group is not the real line")
+
+
+def _rule_r19(doc, table):
+    for node in doc.nodes:
+        if node.ann.index_to_below == "nonzero":
+            yield ("total", "tsr", (2, None), f"{node.name} has a nonzero index map")
 
 
 RULES: tuple[tuple[str, object], ...] = (
@@ -424,6 +430,7 @@ RULES: tuple[tuple[str, object], ...] = (
     ("R16", _rule_r16),
     ("R17", _rule_r17),
     ("R18", _rule_r18),
+    ("R19", _rule_r19),
 )
 
 
@@ -562,7 +569,7 @@ def derive_group_filtration(L: LieAlgebra, flags: GroupFlags) -> FiltrationDoc:
 # value as JSON would hold it. ``where`` is a line number in the text format
 # and a path such as ``nodes[2].attrs.kind`` in JSON. _build_doc checks them.
 
-ATTR_KEYS = tuple(f.name for f in fields(NodeAnnotation))
+ATTR_KEYS = NodeAnnotation._fields
 FLAG_KEYS = ("liminary", "group_derived", "real_line")
 _NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -588,6 +595,10 @@ def _value(key: str, value, where):
         raise FiltrationParseError(where, f"unknown kind {_json_text(value)}")
     if value is None or value == "unknown":
         return None
+    if key == "index_to_below":
+        if value in ("zero", "nonzero"):
+            return value
+        raise FiltrationParseError(where, f"{key} must be zero, nonzero or unknown")
     if key in ("spectrum_dim", "ambient_dim", "fiber_dim"):
         if type(value) is int or (key == "fiber_dim" and value == INFINITE):
             return value

@@ -7,7 +7,7 @@ typed error, so callers can report the refusal rather than a wrong number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coadjoint import ComponentEstimate, estimate_open_orbit_components, has_open_orbits
 from .liealg import (
@@ -32,8 +32,7 @@ class NotSimplyConnected(Exception):
     """Exact formulas need the simply connected group; use the upper bound."""
 
 
-@dataclass(frozen=True)
-class GroupFlags:
+class GroupFlags(NamedTuple):
     exponentiality: ExponentialityVerdict
     simply_connected: bool = True
 
@@ -78,8 +77,7 @@ def rr_upper_bound_nonsimply_connected(L: LieAlgebra, flags: GroupFlags) -> int:
     return abelianization_dim(L)
 
 
-@dataclass(frozen=True)
-class ProjectionVerdict:
+class ProjectionVerdict(NamedTuple):
     verdict: str  # none_nilpotent | exists_open_orbits | unknown
     gr_equals_J0: bool
     J0_proper: bool

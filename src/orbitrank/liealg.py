@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import Mat, Subspace, charpoly, inverse, kernel_basis
 from .poly import UPoly, _frac
@@ -57,14 +56,26 @@ BracketTable = Mapping[tuple[int, int], Vector]
 DIM_CAP = 64  # largest dimension of an algebra or an annotated filtration node
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    """Validated Lie algebra; build values through :func:`validate`."""
+    """Validated Lie algebra; build values through :func:`validate`.
 
-    dim: int
-    basis_names: tuple[str, ...]
-    constants: BracketTable  # read-only; only keys (j, k) with j < k, only nonzero vectors
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    The memo of :func:`cached` facts takes no part in equality or repr.
+    """
+
+    __slots__ = ("dim", "basis_names", "constants", "_memo")
+
+    def __init__(self, dim: int, basis_names: tuple[str, ...], constants: BracketTable):
+        # constants is read-only, with only keys (j, k), j < k, and only nonzero vectors
+        self.dim, self.basis_names, self.constants, self._memo = dim, basis_names, constants, {}
+
+    def _key(self):
+        return (self.dim, self.basis_names, self.constants)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is LieAlgebra else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LieAlgebra{self._key()!r}"
 
     def bracket_basis(self, j: int, k: int) -> Vector:
         """Coordinates of [X_j, X_k]."""
@@ -232,8 +243,7 @@ def center_dim(L: LieAlgebra) -> int:
     return kernel_basis(Mat.from_rows(rows)).dim
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     derived_series_dims: tuple[int, ...]
     solvable: bool
     nilpotent: bool
@@ -290,8 +300,7 @@ def change_basis(L: LieAlgebra, m: Mat, names: Sequence[str] | None = None) -> L
     return validate(L.dim, new_names, table)
 
 
-@dataclass(frozen=True)
-class ExponentialityVerdict:
+class ExponentialityVerdict(NamedTuple):
     """Outcome of the spectral screen.
 
     ``certified_no`` comes with a witness element whose adjoint map provably

@@ -15,8 +15,8 @@ parse(render(L)) reproduces L exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .liealg import DIM_CAP, LieAlgebra, validate
 
@@ -32,8 +32,7 @@ class LieParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class LieFile:
+class LieFile(NamedTuple):
     """Parsed but not yet validated algebra description."""
 
     version: int

@@ -7,16 +7,14 @@ when their ``Subspace`` values compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .poly import UPoly, _den, _frac
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(NamedTuple):
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
@@ -119,8 +117,7 @@ def rref_rank(m: Mat) -> tuple[Mat, int]:
     return Mat.from_rows(a), len(pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Subspace of Q^n given by an RREF basis matrix (rows span the space)."""
 
     ambient_dim: int

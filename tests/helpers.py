@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -387,7 +386,7 @@ def with_subsumed_rules(rules):
 
 
 def _filtration_fields(doc):
-    nodes = [(n.name, [(f.name, getattr(n.ann, f.name)) for f in fields(n.ann)]) for n in doc.nodes]
+    nodes = [(n.name, list(zip(n.ann._fields, n.ann))) for n in doc.nodes]
     flags = [
         ("liminary", doc.flags.liminary),
         ("group_derived", doc.flags.group_derived),

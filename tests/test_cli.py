@@ -25,6 +25,18 @@ def run_cli(*args, **kw):
     )
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Importing the CLI adds neither module to what a fresh interpreter has
+    loaded at startup, so modules that ``site`` imports do not count."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH", "")]))
+    probe = "import sys; s = set(sys.modules); import orbitrank.cli; print(*sorted(set(sys.modules) - s))"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    added = res.stdout.split()
+    assert res.returncode == 0 and "orbitrank.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+
+
 def test_analyze_axb_success():
     res = run_cli("analyze", "catalog:axb", "--json", "-")
     assert res.returncode == 0
@@ -256,6 +268,16 @@ def test_infer_refuses_keys_and_values_it_used_to_drop(tmp_path, name, doc, frag
             '{"filtration": 1, "nodes": [{"name": "a", "attrs": {"kind": "elementary", "spectrum_dim": 2}}]}',
             ["error: nodes[0].attrs.spectrum_dim: ", "spectrum_dim=2 contradicts kind 'elementary'"],
         ),
+        (
+            "doc.filt",
+            "filtration 1\nnode a\nattr index_to_below = nonzero\n",
+            ["error: line 3: ", "no ideal below the first node"],
+        ),
+        (
+            "doc.json",
+            '{"filtration": 1, "nodes": [{"name": "a", "attrs": {"index_to_below": "nonzero"}}]}',
+            ["error: nodes[0].attrs.index_to_below: ", "no ideal below the first node"],
+        ),
     ],
     ids=[
         "reserved_name_text",
@@ -264,6 +286,8 @@ def test_infer_refuses_keys_and_values_it_used_to_drop(tmp_path, name, doc, frag
         "out_of_range_json",
         "kind_contradiction_text",
         "kind_contradiction_json",
+        "index_below_first_node_text",
+        "index_below_first_node_json",
     ],
 )
 def test_infer_invalid_filtration_names_its_place(tmp_path, name, doc, fragments):
@@ -326,7 +350,7 @@ def test_infer_toeplitz():
     res = run_cli("infer", os.path.join(FIXTURES, "toeplitz.filt"))
     assert res.returncode == 0
     assert "total: rr=[1,1] tsr=[2,2]" in res.stdout
-    assert "R17" in res.stdout
+    assert "R17" in res.stdout and "R19 total tsr: [1,2] -> [2,2]" in res.stdout
 
 
 def test_infer_json_facts():
@@ -406,6 +430,24 @@ def test_batch_analyze_order_and_exit():
     assert isinstance(reports, list) and len(reports) == 2
     assert reports[0]["algebra"]["basis"] == ["X", "Y"]
     assert reports[1]["algebra"]["basis"] == ["H", "P", "Q", "E"]
+
+
+def test_batch_analyze_reports_each_failed_input(tmp_path):
+    bad = tmp_path / "bad.lie"
+    bad.write_bytes(b"lie 1\ndim 2\nbasis X Y\xff\n")
+    res = run_cli("analyze", str(bad), "catalog:axb", "--json", "-")
+    assert res.returncode == 1
+    reports = json.loads(res.stdout)
+    assert reports[0] == {"source": str(bad), "error": "line 3, column 10: not valid UTF-8: invalid start byte"}
+    assert reports[1]["algebra"]["basis"] == ["X", "Y"]
+    assert res.stderr == f"error: {bad}: line 3, column 10: not valid UTF-8: invalid start byte\n"
+    text = run_cli("analyze", "catalog:axb", str(bad), "catalog:nope")
+    assert text.returncode == 1
+    assert text.stdout.count("algebra:") == 1 and "Traceback" not in text.stderr
+    assert len(text.stderr.splitlines()) == 2
+    worst = run_cli("analyze", "catalog:oscillator", str(bad), "--json", "-")
+    assert worst.returncode == 2  # a refusal outranks an input error
+    assert [set(r) >= {"source", "error"} for r in json.loads(worst.stdout)] == [False, True]
 
 
 def test_seed_recorded_in_report():

@@ -1,6 +1,5 @@
 import os
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from helpers import render_filtration_json, render_filtration_text, with_subsumed_rules
-from orbitrank import inference
+from orbitrank import inference, report
 from orbitrank.catalog import abelian, axb, direct_sum, filiform, grelaud, heisenberg
 from orbitrank.inference import (
     INFINITE,
@@ -28,6 +27,7 @@ from orbitrank.inference import (
 )
 from orbitrank.invariants import GroupFlags, real_rank, stable_rank
 from orbitrank.liealg import exponentiality_check
+from orbitrank.report import analyze_algebra
 
 def load(name):
     with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as fh:
@@ -85,6 +85,9 @@ class TestEngineBasics:
         assert table.gr_fact() == "unknown"  # the circle is compact, R12 must not fire
         flagged = [e for e in table.trace if e.rule == "R17"]
         assert flagged and all("standard compacts" in e.note for e in flagged)
+        assert table.tsr_interval("compact_ideal") == (1, 1)
+        # the stable rank 2 comes from the shift's index, not from the compacts
+        assert [e.new for e in table.trace if e.rule == "R19"] == [(2, 2)]
 
     def test_special_solving_series_fixture(self):
         table = infer(parse_filtration(load("nilpotent_special.filt")))
@@ -101,9 +104,10 @@ class TestEngineBasics:
         doc = parse_filtration(load("toeplitz.filt"))
         table = infer(doc, use_compacts_facts=False)
         assert not any(e.rule == "R17" for e in table.trace)
-        # without the compacts facts the lower bounds stay loose
-        assert table.tsr_interval() == (1, 2)
-        assert table.rr_interval() == (1, 1)  # still closed through R2/R4
+        # the total needs neither compacts fact: R19 and R11 close tsr, R2 and R4 rr
+        assert table.tsr_interval() == (2, 2)
+        assert table.rr_interval() == (1, 1)
+        assert table.tsr_interval("compact_ideal") == (1, 2)  # only R8's bound
 
     def test_contradiction_on_inconsistent_annotations(self):
         # dim-0 compactified spectrum forces rr = 0, while a projection-free
@@ -187,6 +191,36 @@ class TestEngineBasics:
         assert table2.rr_interval() == (1, None)
 
 
+# C*-algebras with known (rr, tsr): K, C(T), C_0(R^d) = C(S^d) minus a point,
+# the Toeplitz algebra and C*(ax+b)
+KNOWN_RANKS = {
+    "compacts": (FiltrationDoc(nodes=(FiltrationNode("k", NodeAnnotation(kind="elementary")),)), (0, 1)),
+    "circle": (single_commutative(1), (1, 1)),
+    **{
+        f"euclidean_{d}": (single_commutative(d, compact=False, no_compact_component=True), (d, d // 2 + 1))
+        for d in (1, 2, 3)
+    },
+    "toeplitz": (parse_filtration(load("toeplitz.filt")), (1, 2)),
+    "axb": (parse_filtration(load("axb.filt")), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("compacts_facts", [True, False], ids=["R17_on", "R17_off"])
+@pytest.mark.parametrize("name", sorted(KNOWN_RANKS))
+def test_intervals_contain_known_ranks(name, compacts_facts):
+    doc, truth = KNOWN_RANKS[name]
+    table = infer(doc, use_compacts_facts=compacts_facts)
+    for (lo, hi), value in zip((table.rr_interval(), table.tsr_interval()), truth):
+        assert lo <= value and (hi is None or value <= hi)
+
+
+def test_compacts_have_stable_rank_one():
+    """K is AF, so tsr(K) = 1 (Rieffel 1983); rr(K) = 0 (Brown-Pedersen 1991)."""
+    table = infer(KNOWN_RANKS["compacts"][0])
+    assert table.rr_interval() == (0, 0)
+    assert table.tsr_interval() == (1, 1)
+
+
 class TestFixpointContracts:
     def docs(self):
         yield parse_filtration(load("axb.filt"))
@@ -243,7 +277,8 @@ _annotations = st.builds(
     separable=_UNKNOWN_BOOL,
     fiber_dim=st.sampled_from([None, 1, 2, INFINITE]),
     ambient_dim=_SMALL_DIM,
-).map(lambda ann: replace(ann, **_IMPLIED.get(ann.kind, {})))
+    index_to_below=st.sampled_from([None, "zero", "nonzero"]),
+).map(lambda ann: ann._replace(**_IMPLIED.get(ann.kind, {})))
 
 _documents = st.builds(
     lambda anns, flags: FiltrationDoc(
@@ -265,6 +300,8 @@ def _fixpoint(doc):
         return infer(doc).snapshot()
     except Contradiction:
         return "contradiction"
+    except InvalidFiltration:  # index_to_below=nonzero on the first node
+        return "invalid"
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -293,13 +330,24 @@ def test_text_and_json_load_the_same_document(doc, first_name):
     """Rendered in either format, a document loads to normalize_doc(doc), or
     both formats refuse it with the same error class; the first node's name is
     sometimes one the formats refuse or one normalize_doc reserves."""
-    doc = replace(doc, nodes=(replace(doc.nodes[0], name=first_name),) + doc.nodes[1:])
+    doc = doc._replace(nodes=(doc.nodes[0]._replace(name=first_name),) + doc.nodes[1:])
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", first_name):
         expected = _loaded(normalize_doc, doc)
     else:
         expected = FiltrationParseError
     assert _loaded(parse_filtration, render_filtration_text(doc)) == expected
     assert _loaded(parse_filtration_json, render_filtration_json(doc)) == expected
+
+
+@pytest.mark.parametrize("L", [axb(), heisenberg(1), abelian(3)], ids=["axb", "heisenberg_1", "abelian_3"])
+def test_agreement_catches_a_wrong_stable_rank(monkeypatch, L):
+    """The tsr half of ``inference.agreement`` does not re-read the closed form:
+    with stable_rank one too high, the cross-check fails. (Its rr half does
+    re-read real_rank through the characters node, so it could not catch a
+    wrong real_rank.)"""
+    assert analyze_algebra(L, samples=5)[0]["inference"]["agreement"] is True
+    monkeypatch.setattr(report, "stable_rank", lambda L, flags: stable_rank(L, flags) + 1)
+    assert analyze_algebra(L, samples=5)[0]["inference"]["agreement"] is False
 
 
 class TestDeriveGroupFiltration:
@@ -450,6 +498,12 @@ class TestParsing:
         with pytest.raises(FiltrationParseError):
             parse_filtration("filtration 1\nnode a\nattr spectrum_dim = infinite\n")
 
+    def test_index_to_below_values(self):
+        with pytest.raises(FiltrationParseError, match="index_to_below must be zero, nonzero or unknown"):
+            parse_filtration("filtration 1\nnode a\nnode b\nattr index_to_below = -1\n")
+        doc = parse_filtration("filtration 1\nnode a\nattr index_to_below = zero\nnode b\nattr index_to_below = unknown\n")
+        assert [n.ann.index_to_below for n in doc.nodes] == ["zero", None]
+
     def test_json_equivalent(self):
         text = load("toeplitz.filt")
         doc = parse_filtration(text)
@@ -461,7 +515,8 @@ class TestParsing:
             "attrs": {"kind": "commutative", "spectrum_dim": 1,
                       "spectrum_compact": true,
                       "no_compact_spectrum_component": false,
-                      "separable": true}}],
+                      "separable": true,
+                      "index_to_below": "nonzero"}}],
          "flags": {"liminary": false}}
         """
         jdoc = parse_filtration_json(json_text)
