@@ -138,7 +138,7 @@ def cmd_infer(args) -> int:
 
     for t in targets:
         facts = table.facts(t)
-        print(f"{t}: rr={facts.rr} tsr={facts.tsr} gr={facts.gr}")
+        print(f"{t}: rr={fmt(facts.rr)} tsr={fmt(facts.tsr)} gr={facts.gr}")
     print(f"trace ({len(table.trace)} steps):")
     for e in table.trace:
         note = f"  # {e.note}" if e.note else ""

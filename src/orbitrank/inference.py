@@ -48,6 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .invariants import GroupFlags, real_rank
 from .liealg import DIM_CAP, LieAlgebra
+from .lieio import read_utf8
 
 INFINITE = "infinite"
 KINDS = ("continuous_trace", "commutative", "elementary", "generic")
@@ -60,15 +61,17 @@ def _at(where: int | str, message: str) -> str:
 
 
 class InvalidFiltration(Exception):
-    """Structurally inconsistent document (bad kinds, clashing annotations).
+    """A document whose content is refused: a bad name or value, clashing annotations.
 
-    ``node`` and ``key`` name the node and attribute at fault, where there is one.
+    ``node`` and ``key`` name the node and attribute (or flag) at fault, where
+    there is one, and ``index`` is the node's position in the document.
     """
 
-    def __init__(self, message: str, node: str | None = None, key: str | None = None):
+    def __init__(self, message: str, node: object = None, key: str | None = None, index: int | None = None):
         super().__init__(message)
         self.node = node
         self.key = key
+        self.index = index
 
 
 class FiltrationParseError(Exception):
@@ -119,93 +122,106 @@ class FiltrationDoc(NamedTuple):
     flags: AlgebraFlags = AlgebraFlags()
 
 
-def _fill(ann: NodeAnnotation, node: str, **implied) -> NodeAnnotation:
-    """Fill unknown fields with values implied by the kind; clashes are errors."""
-    updates = {}
-    for key, value in implied.items():
-        current = getattr(ann, key)
-        if current is None:
-            updates[key] = value
-        elif current != value:
-            raise InvalidFiltration(
-                f"node {node!r}: {key}={current!r} contradicts kind {ann.kind!r}", node, key
-            )
-    return ann._replace(**updates) if updates else ann
+# the annotations each kind implies; a node may leave them unknown
+KIND_IMPLIES = {
+    "elementary": dict(
+        irreps_infinite_dim=True,
+        spectrum_dim=0,
+        spectrum_compact=True,
+        hausdorff_spectrum=True,
+        separable=True,
+        no_compact_spectrum_component=False,
+        fiber_dim=INFINITE,
+    ),
+    "commutative": dict(irreps_infinite_dim=False, hausdorff_spectrum=True, fiber_dim=1),
+}
+FLAG_KEYS = ("liminary", "group_derived", "real_line")  # AlgebraFlags' fields as documents name them
+_NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _json_text(value) -> str:
+    """A value as JSON text; a container is only named, because one nested
+    near the recursion limit would fail to encode, and any other object is
+    shown by its repr."""
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    if value is None or isinstance(value, (str, int, float)):
+        return json.dumps(value)
+    return repr(value)
+
+
+def _attr_problem(node: str, key: str, v) -> str | None:
+    """Why an attribute's value is refused, or None if it is not."""
+    if key == "kind":
+        return None if v in KINDS else f"unknown kind {_json_text(v)}"
+    if v is None:
+        return None
+    if key == "index_to_below":
+        return None if v in ("zero", "nonzero") else f"{key} must be zero, nonzero or unknown"
+    if key not in ("spectrum_dim", "ambient_dim", "fiber_dim"):
+        return None if isinstance(v, bool) else f"{key} must be true, false or unknown"
+    if key == "fiber_dim" and v == INFINITE:
+        return None
+    if type(v) is not int:
+        infinite = ", infinite" if key == "fiber_dim" else ""
+        return f"{key} must be a natural number{infinite} or unknown"
+    low = 1 if key == "fiber_dim" else 0
+    return None if low <= v <= DIM_CAP else f"node {node!r}: {key}={v} outside [{low}, {DIM_CAP}]"
 
 
 def normalize_doc(doc: FiltrationDoc) -> FiltrationDoc:
-    """Validate a document and normalize kind-implied annotations."""
+    """Check a document and fill in the annotations its kinds imply.
+
+    This is the one validator: the parsers only read values, so a document
+    built in Python is checked exactly as a parsed one.
+    """
     if not doc.nodes:
         raise InvalidFiltration("a filtration needs at least one node")
+    nodes: list[FiltrationNode] = []
     seen = set()
-    nodes = []
-    for node in doc.nodes:
-        if node.name in seen:
-            raise InvalidFiltration(f"duplicate node name {node.name!r}")
-        if node.name == "total":
-            raise InvalidFiltration("'total' is reserved for the whole algebra", node.name)
-        seen.add(node.name)
-        ann = node.ann
+    for index, (name, ann) in enumerate(doc.nodes):
+        if not (isinstance(name, str) and _NODE_NAME.fullmatch(name)):
+            raise InvalidFiltration(f"bad node name {_json_text(name)}", name, None, index)
+        if name in seen:
+            raise InvalidFiltration(f"duplicate node name {name!r}", name, None, index)
+        if name == "total":
+            raise InvalidFiltration("'total' is reserved for the whole algebra", name, None, index)
+        seen.add(name)
+        for key, v in zip(ann._fields, ann):
+            problem = _attr_problem(name, key, v)
+            if problem:
+                raise InvalidFiltration(problem, name, key, index)
         if not nodes and ann.index_to_below == "nonzero":
             raise InvalidFiltration(
-                f"node {node.name!r}: no ideal below the first node", node.name, "index_to_below"
+                f"node {name!r}: no ideal below the first node", name, "index_to_below", index
             )
-        if ann.kind not in KINDS:
-            raise InvalidFiltration(f"node {node.name!r}: unknown kind {ann.kind!r}")
-        for key in ("spectrum_dim", "ambient_dim"):
-            v = getattr(ann, key)
-            if v is not None and not 0 <= v <= DIM_CAP:
+        implied = KIND_IMPLIES.get(ann.kind, {})
+        for key, value in implied.items():
+            current = getattr(ann, key)
+            if current not in (None, value):
                 raise InvalidFiltration(
-                    f"node {node.name!r}: {key}={v} outside [0, {DIM_CAP}]", node.name, key
+                    f"node {name!r}: {key}={current!r} contradicts kind {ann.kind!r}",
+                    name,
+                    key,
+                    index,
                 )
-        if isinstance(ann.fiber_dim, int) and not 1 <= ann.fiber_dim <= DIM_CAP:
-            raise InvalidFiltration(
-                f"node {node.name!r}: fiber_dim={ann.fiber_dim} outside [1, {DIM_CAP}]",
-                node.name,
-                "fiber_dim",
-            )
-        if ann.kind == "elementary":
-            ann = _fill(
-                ann,
-                node.name,
-                irreps_infinite_dim=True,
-                spectrum_dim=0,
-                spectrum_compact=True,
-                hausdorff_spectrum=True,
-                separable=True,
-                no_compact_spectrum_component=False,
-                fiber_dim=INFINITE,
-            )
-        elif ann.kind == "commutative":
-            ann = _fill(
-                ann,
-                node.name,
-                irreps_infinite_dim=False,
-                hausdorff_spectrum=True,
-                fiber_dim=1,
-            )
-        nodes.append(FiltrationNode(node.name, ann))
+        ann = ann._replace(**{key: value for key, value in implied.items() if getattr(ann, key) is None})
+        nodes.append(FiltrationNode(name, ann))
+    if doc.flags.liminary is not None and not isinstance(doc.flags.liminary, bool):
+        raise InvalidFiltration("liminary must be true, false or unknown", None, "liminary")
+    for key, v in zip(FLAG_KEYS[1:], doc.flags[1:]):
+        if not isinstance(v, bool):
+            raise InvalidFiltration(f"flag {key!r} must be true or false, got {_json_text(v)}", None, key)
     return FiltrationDoc(tuple(nodes), doc.flags)
 
 
-class Interval:
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int | None):
-        self.lo, self.hi = lo, hi  # hi None = unbounded above
-
-    def as_tuple(self) -> tuple[int, int | None]:
-        return (self.lo, self.hi)
-
-    def __str__(self) -> str:
-        return f"[{self.lo},{'inf' if self.hi is None else self.hi}]"
-
-
 class NodeFacts:
+    """One node's facts: rr and tsr as (lo, hi) tuples, hi None when unbounded."""
+
     __slots__ = ("rr", "tsr", "gr", "spectrum_finite")
 
-    def __init__(self, rr: Interval, tsr: Interval, spectrum_finite: bool = False):
-        self.rr, self.tsr, self.gr, self.spectrum_finite = rr, tsr, "unknown", spectrum_finite
+    def __init__(self, spectrum_finite: bool = False):
+        self.rr, self.tsr, self.gr, self.spectrum_finite = (0, None), (1, None), "unknown", spectrum_finite
 
 
 class TraceEntry(NamedTuple):
@@ -220,17 +236,19 @@ class TraceEntry(NamedTuple):
 class FactTable:
     __slots__ = ("nodes", "total", "trace")
 
-    def __init__(self, nodes: dict[str, NodeFacts], total: NodeFacts):
-        self.nodes, self.total, self.trace = nodes, total, []
+    def __init__(self, doc: FiltrationDoc):
+        """The table before any rule: nothing known beyond rr >= 0 and tsr >= 1."""
+        self.nodes = {node.name: NodeFacts(node.ann.spectrum_dim is not None) for node in doc.nodes}
+        self.total, self.trace = NodeFacts(), []
 
     def facts(self, target: str) -> NodeFacts:
         return self.total if target == "total" else self.nodes[target]
 
     def rr_interval(self, target: str = "total") -> tuple[int, int | None]:
-        return self.facts(target).rr.as_tuple()
+        return self.facts(target).rr
 
     def tsr_interval(self, target: str = "total") -> tuple[int, int | None]:
-        return self.facts(target).tsr.as_tuple()
+        return self.facts(target).tsr
 
     def gr_fact(self, target: str = "total") -> str:
         return self.facts(target).gr
@@ -239,19 +257,8 @@ class FactTable:
         """Facts without the trace, for table comparisons."""
         out = {}
         for name, f in list(self.nodes.items()) + [("total", self.total)]:
-            out[name] = (f.rr.as_tuple(), f.tsr.as_tuple(), f.gr, f.spectrum_finite)
+            out[name] = (f.rr, f.tsr, f.gr, f.spectrum_finite)
         return out
-
-
-def _initial_table(doc: FiltrationDoc) -> FactTable:
-    nodes = {}
-    for node in doc.nodes:
-        nodes[node.name] = NodeFacts(
-            rr=Interval(0, None),
-            tsr=Interval(1, None),
-            spectrum_finite=node.ann.spectrum_dim is not None,
-        )
-    return FactTable(nodes=nodes, total=NodeFacts(rr=Interval(0, None), tsr=Interval(1, None)))
 
 
 Proposal = tuple[str, str, object, str]  # target, fact, value, note
@@ -268,14 +275,9 @@ def _stable_hyps(ann: NodeAnnotation, facts: NodeFacts) -> bool:
     )
 
 
-def _max_interval(intervals: Iterable[Interval]) -> tuple[int, int | None]:
-    los, his = [], []
-    for iv in intervals:
-        los.append(iv.lo)
-        his.append(iv.hi)
-    lo = max(los)
-    hi = None if any(h is None for h in his) else max(his)
-    return lo, hi
+def _max_interval(intervals: Iterable[tuple[int, int | None]]) -> tuple[int, int | None]:
+    los, his = zip(*intervals)
+    return max(los), None if None in his else max(his)
 
 
 def _rule_r0(doc, table):
@@ -284,10 +286,10 @@ def _rule_r0(doc, table):
     name = doc.nodes[0].name
     node = table.nodes[name]
     note = "single subquotient is the whole algebra"
-    yield ("total", "rr", node.rr.as_tuple(), note)
-    yield (name, "rr", table.total.rr.as_tuple(), note)
-    yield ("total", "tsr", node.tsr.as_tuple(), note)
-    yield (name, "tsr", table.total.tsr.as_tuple(), note)
+    yield ("total", "rr", node.rr, note)
+    yield (name, "rr", table.total.rr, note)
+    yield ("total", "tsr", node.tsr, note)
+    yield (name, "tsr", table.total.tsr, note)
     yield ("total", "gr", node.gr, note)
     yield (name, "gr", table.total.gr, note)
 
@@ -345,13 +347,13 @@ def _rule_r8(doc, table):
 
 
 def _rule_r9(doc, table):
-    lo = max(table.nodes[n.name].tsr.lo for n in doc.nodes)
+    lo = max(table.nodes[n.name].tsr[0] for n in doc.nodes)
     yield ("total", "tsr", (lo, None), "extension lower bound")
 
 
 def _rule_r11(doc, table):
     if all(_stable_hyps(n.ann, table.nodes[n.name]) for n in doc.nodes[:-1]):
-        hi = table.nodes[doc.nodes[-1].name].tsr.hi
+        hi = table.nodes[doc.nodes[-1].name].tsr[1]
         if hi is not None:
             yield ("total", "tsr", (None, max(2, hi)), "")
 
@@ -435,37 +437,26 @@ RULES: tuple[tuple[str, object], ...] = (
 
 
 def _apply(table: FactTable, rule: str, target: str, fact: str, value, note: str) -> bool:
+    """Tighten one fact by a rule's proposal; log and report whether it changed."""
     facts = table.facts(target)
-    if fact in ("rr", "tsr"):
-        iv: Interval = getattr(facts, fact)
-        lo, hi = value
-        new_lo = iv.lo if lo is None else max(iv.lo, lo)
-        if hi is None:
-            new_hi = iv.hi
-        else:
-            new_hi = hi if iv.hi is None else min(iv.hi, hi)
-        if (new_lo, new_hi) == (iv.lo, iv.hi):
-            return False
+    old = getattr(facts, fact)
+    if fact in ("rr", "tsr"):  # meet of the intervals; None bounds nothing
+        (lo, hi), (old_lo, old_hi) = value, old
+        new_lo = old_lo if lo is None else max(old_lo, lo)
+        his = [h for h in (old_hi, hi) if h is not None]
+        new_hi = min(his) if his else None
         if new_hi is not None and new_lo > new_hi:
             raise Contradiction(target, rule, new_lo, new_hi)
-        old = iv.as_tuple()
-        iv.lo, iv.hi = new_lo, new_hi
-        table.trace.append(TraceEntry(rule, target, fact, old, (new_lo, new_hi), note))
-        return True
-    if fact == "gr":
-        if GR_ORDER[value] <= GR_ORDER[facts.gr]:
-            return False
-        old = facts.gr
-        facts.gr = value
-        table.trace.append(TraceEntry(rule, target, fact, old, value, note))
-        return True
-    if fact == "spectrum_finite":
-        if facts.spectrum_finite:
-            return False
-        facts.spectrum_finite = True
-        table.trace.append(TraceEntry(rule, target, fact, False, True, note))
-        return True
-    raise ValueError(f"unknown fact kind {fact!r}")
+        new = (new_lo, new_hi)
+    elif fact == "gr":
+        new = max(old, value, key=GR_ORDER.__getitem__)
+    else:  # spectrum_finite only ever becomes true
+        new = True
+    if new == old:
+        return False
+    setattr(facts, fact, new)
+    table.trace.append(TraceEntry(rule, target, fact, old, new, note))
+    return True
 
 
 def infer(doc: FiltrationDoc, use_compacts_facts: bool = True) -> FactTable:
@@ -476,7 +467,7 @@ def infer(doc: FiltrationDoc, use_compacts_facts: bool = True) -> FactTable:
     """
     doc = normalize_doc(doc)
     rules = [(rid, fn) for rid, fn in RULES if use_compacts_facts or rid != "R17"]
-    table = _initial_table(doc)
+    table = FactTable(doc)
     sweeps = 0
     while True:
         sweeps += 1
@@ -493,18 +484,9 @@ def infer(doc: FiltrationDoc, use_compacts_facts: bool = True) -> FactTable:
 
 def replay_trace(doc: FiltrationDoc, trace: Sequence[TraceEntry]) -> FactTable:
     """Apply a logged trace to a fresh initial table (no rule evaluation)."""
-    doc = normalize_doc(doc)
-    table = _initial_table(doc)
+    table = FactTable(normalize_doc(doc))
     for entry in trace:
-        facts = table.facts(entry.target)
-        if entry.fact in ("rr", "tsr"):
-            lo, hi = entry.new
-            iv = getattr(facts, entry.fact)
-            iv.lo, iv.hi = lo, hi
-        elif entry.fact == "gr":
-            facts.gr = entry.new
-        elif entry.fact == "spectrum_finite":
-            facts.spectrum_finite = entry.new
+        setattr(table.facts(entry.target), entry.fact, entry.new)
     return table
 
 
@@ -567,78 +549,39 @@ def derive_group_filtration(L: LieAlgebra, flags: GroupFlags) -> FiltrationDoc:
 # Both front ends only split a document into raw records: nodes as
 # (where, name, [(where, key, value)]) and flags as [(where, key, value)], each
 # value as JSON would hold it. ``where`` is a line number in the text format
-# and a path such as ``nodes[2].attrs.kind`` in JSON. _build_doc checks them.
+# and a path such as ``nodes[2].attrs.kind`` in JSON. _build_doc reads
+# "unknown" as None and leaves every other check to normalize_doc.
 
 ATTR_KEYS = NodeAnnotation._fields
-FLAG_KEYS = ("liminary", "group_derived", "real_line")
-_NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NEVER_UNKNOWN = ("kind", "group_derived", "real_line")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _json_text(value) -> str:
-    """A value as JSON text; a container is only named, because one nested
-    near the recursion limit would fail to encode."""
-    if isinstance(value, (list, dict)):
-        return "an array" if isinstance(value, list) else "an object"
-    return json.dumps(value)
-
-
-def _value(key: str, value, where):
-    """Check one attribute or flag value; "unknown" (or JSON null) is None."""
-    if key in ("group_derived", "real_line"):
-        if isinstance(value, bool):
-            return value
-        raise FiltrationParseError(where, f"flag {key!r} must be true or false, got {_json_text(value)}")
-    if key == "kind":
-        if value in KINDS:
-            return value
-        raise FiltrationParseError(where, f"unknown kind {_json_text(value)}")
-    if value is None or value == "unknown":
-        return None
-    if key == "index_to_below":
-        if value in ("zero", "nonzero"):
-            return value
-        raise FiltrationParseError(where, f"{key} must be zero, nonzero or unknown")
-    if key in ("spectrum_dim", "ambient_dim", "fiber_dim"):
-        if type(value) is int or (key == "fiber_dim" and value == INFINITE):
-            return value
-        infinite = ", infinite" if key == "fiber_dim" else ""
-        raise FiltrationParseError(where, f"{key} must be a natural number{infinite} or unknown")
-    if isinstance(value, bool):
-        return value
-    raise FiltrationParseError(where, f"{key} must be true, false or unknown")
-
-
 def _checked(records, keys: tuple[str, ...], noun: str) -> dict:
-    """Checked values by key; unknown and repeated keys are refused."""
+    """Values by key, "unknown" read as None; unknown and repeated keys are refused."""
     values: dict = {}
     for where, key, value in records:
         if key not in keys:
             raise FiltrationParseError(where, f"unknown {noun} {key!r}")
         if key in values:
             raise FiltrationParseError(where, f"{noun} {key!r} set twice")
-        values[key] = _value(key, value, where)
+        values[key] = None if value == "unknown" and key not in _NEVER_UNKNOWN else value
     return values
 
 
 def _build_doc(nodes_where, nodes, flags) -> FiltrationDoc:
-    """Check the raw records of either format and build the normalized document.
+    """Build the document from the raw records of either format and normalize it.
 
-    ``nodes_where`` locates the node list, for the error on an empty one. An
-    error from normalize_doc names the place of the node or attribute at fault.
+    An error from normalize_doc gets the place of the node, attribute or flag
+    at fault; ``nodes_where`` locates the node list, for an empty one.
     """
-    if not nodes:
-        raise FiltrationParseError(nodes_where, "a filtration needs at least one node")
+    places: dict = {(None, None): nodes_where}  # (node index, key) -> where
+    places.update(((None, key), where) for where, key, _ in flags)
     built: list[FiltrationNode] = []
-    places: dict = {}  # (node, key) -> where; key None for the node's name
-    for where, name, attrs in nodes:
-        if not (isinstance(name, str) and _NODE_NAME.fullmatch(name)):
-            raise FiltrationParseError(where, f"bad node name {_json_text(name)}")
-        if any(node.name == name for node in built):
-            raise FiltrationParseError(where, f"duplicate node name {name!r}")
+    for index, (where, name, attrs) in enumerate(nodes):
+        places[index, None] = where
+        places.update(((index, key), w) for w, key, _ in attrs)
         built.append(FiltrationNode(name, NodeAnnotation(**_checked(attrs, ATTR_KEYS, "attribute"))))
-        places[name, None] = where
-        places.update(((name, key), w) for w, key, _ in attrs)
     flag = _checked(flags, FLAG_KEYS, "flag")
     doc = FiltrationDoc(
         tuple(built),
@@ -647,8 +590,8 @@ def _build_doc(nodes_where, nodes, flags) -> FiltrationDoc:
     try:
         return normalize_doc(doc)
     except InvalidFiltration as exc:
-        where = places.get((exc.node, exc.key), places.get((exc.node, None)))
-        raise InvalidFiltration(_at(where, str(exc)), exc.node, exc.key) from None
+        where = places.get((exc.index, exc.key), places[exc.index, None])
+        raise InvalidFiltration(_at(where, str(exc)), exc.node, exc.key, exc.index) from None
 
 
 def _integer(literal: str) -> int | str:
@@ -762,14 +705,7 @@ def parse_filtration_json(text: str) -> FiltrationDoc:
 
 def load_filtration(path: str) -> FiltrationDoc:
     """Parse a document file, dispatching on the .json extension."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # number lines as the parsers do; "?" stands in for the bad byte
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise FiltrationParseError(line, f"not valid UTF-8: {exc.reason}") from None
+    text = read_utf8(path, lambda line, column, message: FiltrationParseError(line, message))
     if path.endswith(".json"):
         return parse_filtration_json(text)
     return parse_filtration(text)

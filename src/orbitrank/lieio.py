@@ -32,6 +32,21 @@ class LieParseError(Exception):
         self.column = column
 
 
+def read_utf8(path: str, error) -> str:
+    """A file's text; a byte that is not UTF-8 raises ``error(line, column, message)``.
+
+    Lines are numbered as the parsers number them, with "?" standing in for
+    the bad byte, and the column is that byte's.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise error(len(lines), len(lines[-1]), f"not valid UTF-8: {exc.reason}") from None
+
+
 class LieFile(NamedTuple):
     """Parsed but not yet validated algebra description."""
 

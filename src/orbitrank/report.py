@@ -24,11 +24,12 @@ from .invariants import (
     stable_rank,
 )
 from .liealg import ExponentialityVerdict, LieAlgebra, exponentiality_check, structure_report
-from .lieio import LieParseError, parse_lie_file, render_bracket_terms
+from .lieio import LieParseError, parse_lie_file, read_utf8, render_bracket_terms
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_REFUSED = 2
+SCREEN_TRIALS = 50  # random combinations the exponentiality screen tries
 
 
 def _vector(v) -> list[str]:
@@ -39,10 +40,8 @@ def analyze_algebra(
     L: LieAlgebra,
     samples: int = 200,
     seed: int = 0,
-    trials: int = 50,
     assume_exponential: bool = False,
     simply_connected: bool = True,
-    use_compacts_facts: bool = True,
 ) -> tuple[dict, int]:
     """Run the full pipeline and return (report, exit_code)."""
     report: dict = {}
@@ -73,8 +72,8 @@ def analyze_algebra(
         verdict = ExponentialityVerdict(status="asserted")
         report["exponentiality"] = {"status": "asserted"}
     else:
-        verdict = exponentiality_check(L, seed=seed, trials=trials)
-        section = {"status": verdict.status, "seed": seed, "trials": trials}
+        verdict = exponentiality_check(L, seed=seed, trials=SCREEN_TRIALS)
+        section = {"status": verdict.status, "seed": seed, "trials": SCREEN_TRIALS}
         if verdict.witness is not None:
             section["witness"] = _vector(verdict.witness)
         report["exponentiality"] = section
@@ -139,7 +138,7 @@ def analyze_algebra(
     report["projections"] = section
 
     doc = inference.derive_group_filtration(L, flags)
-    table = inference.infer(doc, use_compacts_facts=use_compacts_facts)
+    table = inference.infer(doc)
     rr_iv = table.rr_interval()
     tsr_iv = table.tsr_interval()
     report["inference"] = {
@@ -156,15 +155,7 @@ def load_algebra(source: str) -> LieAlgebra:
     """Build the algebra named by a .lie file path or a catalog:<name>[:<params>] pseudo-path."""
     if source.startswith("catalog:"):
         return catalog_from_spec(source[len("catalog:") :])
-    with open(source, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; "?" stands in for it
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
-        raise LieParseError(len(lines), len(lines[-1]), f"not valid UTF-8: {exc.reason}") from None
-    return parse_lie_file(text)
+    return parse_lie_file(read_utf8(source, LieParseError))
 
 
 def analyze_source(source: str, **options) -> tuple[dict, int]:

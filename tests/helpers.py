@@ -361,7 +361,7 @@ def _rule_r10(doc, table):
     if len(doc.nodes) != 2:
         return
     if _stable_hyps(doc.nodes[0].ann, table.nodes[doc.nodes[0].name]):
-        hi = table.nodes[doc.nodes[1].name].tsr.hi
+        hi = table.nodes[doc.nodes[1].name].tsr[1]
         if hi is not None:
             yield ("total", "tsr", (None, max(2, hi)), "")
 

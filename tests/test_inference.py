@@ -294,6 +294,41 @@ _documents = st.builds(
     ),
 )
 
+# Values a document built in Python may hold by mistake: strings for booleans
+# and for dimensions, booleans for dimensions, an empty string for the index
+# map, names the formats or normalize_doc refuse, and flags that are not bools.
+_BOOL_KEYS = (
+    "spectrum_compact", "irreps_infinite_dim", "hausdorff_spectrum",
+    "no_compact_spectrum_component", "separable",
+)
+_WRONG_ATTRS = (
+    [(key, value) for key in _BOOL_KEYS for value in ("yes", "false")]
+    + [(key, value) for key in ("spectrum_dim", "ambient_dim", "fiber_dim") for value in ("3", True)]
+    + [("index_to_below", "")]
+)
+_WRONG_NAMES = ["n0", "total", "a b", "", "9x", "\u00e9"]  # "n0" clashes unless on the first node
+_WRONG_FLAGS = [("liminary", "no")] + [
+    (key, value) for key in ("group_derived", "is_real_line_group") for value in ("no", None)
+]
+
+
+@st.composite
+def _spoiled_documents(draw):
+    """A document from ``_documents`` with one name, attribute or flag made wrong."""
+    doc = draw(_documents)
+    place = draw(st.sampled_from(["name", "attr", "flag"]))
+    if place == "flag":
+        key, value = draw(st.sampled_from(_WRONG_FLAGS))
+        return doc._replace(flags=doc.flags._replace(**{key: value}))
+    i = draw(st.integers(0, len(doc.nodes) - 1))
+    name, ann = doc.nodes[i]
+    if place == "name":
+        node = FiltrationNode(draw(st.sampled_from(_WRONG_NAMES)), ann)
+    else:
+        key, value = draw(st.sampled_from(_WRONG_ATTRS))
+        node = FiltrationNode(name, ann._replace(**{key: value}))
+    return doc._replace(nodes=doc.nodes[:i] + (node,) + doc.nodes[i + 1 :])
+
 
 def _fixpoint(doc):
     try:
@@ -324,19 +359,83 @@ def _loaded(load, source):
         return type(exc)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_documents, st.one_of(st.just("n0"), st.sampled_from(["total", "a b", "", "9x", "\u00e9"])))
-def test_text_and_json_load_the_same_document(doc, first_name):
+def _text_fidelity(doc) -> str:
+    """How the text format carries a document: "plain" if every name and
+    value reads back as itself, "unwritable" if a string is not one token,
+    and otherwise "ambiguous" (the string "3" prints exactly like the int 3,
+    and an unknown two-valued flag like the word ``unknown``)."""
+    values = [n.name for n in doc.nodes] + [v for n in doc.nodes for v in n.ann] + list(doc.flags)
+    strings = [v for v in values if isinstance(v, str)]
+    if not all(re.fullmatch(r"[^\s#]+", v) for v in strings):
+        return "unwritable"
+    if None in doc.flags[1:] or any(re.fullmatch(r"-?[0-9]+|true|false|unknown", v) for v in strings):
+        return "ambiguous"
+    return "plain"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_documents, _spoiled_documents()))
+def test_text_and_json_load_the_same_document(doc):
     """Rendered in either format, a document loads to normalize_doc(doc), or
-    both formats refuse it with the same error class; the first node's name is
-    sometimes one the formats refuse or one normalize_doc reserves."""
-    doc = doc._replace(nodes=(doc.nodes[0]._replace(name=first_name),) + doc.nodes[1:])
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", first_name):
-        expected = _loaded(normalize_doc, doc)
-    else:
-        expected = FiltrationParseError
-    assert _loaded(parse_filtration, render_filtration_text(doc)) == expected
+    is refused with the error class normalize_doc raises; half the documents
+    hold one wrong name, value or flag. The text format is compared only
+    where it prints the document unambiguously, and refuses a string that is
+    not one token. infer on the document returns, or raises InvalidFiltration
+    exactly when normalize_doc does, or Contradiction."""
+    expected = _loaded(normalize_doc, doc)
     assert _loaded(parse_filtration_json, render_filtration_json(doc)) == expected
+    fidelity = _text_fidelity(doc)
+    if fidelity != "ambiguous":
+        text_expected = FiltrationParseError if fidelity == "unwritable" else expected
+        assert _loaded(parse_filtration, render_filtration_text(doc)) == text_expected
+    try:
+        outcome = infer(doc)
+    except (InvalidFiltration, Contradiction) as exc:
+        outcome = type(exc)
+    assert (outcome is InvalidFiltration) == (expected is InvalidFiltration)
+
+
+@pytest.mark.parametrize(
+    "ann,flags,node,key",
+    [
+        (NodeAnnotation(kind="commutative", spectrum_dim="3"), AlgebraFlags(), "only", "spectrum_dim"),
+        (NodeAnnotation(kind="commutative", spectrum_dim=True), AlgebraFlags(), "only", "spectrum_dim"),
+        (NodeAnnotation(kind="elementary"), AlgebraFlags(group_derived="no"), None, "group_derived"),
+        (NodeAnnotation(index_to_below=""), AlgebraFlags(), "only", "index_to_below"),
+        (NodeAnnotation(spectrum_compact="yes"), AlgebraFlags(), "only", "spectrum_compact"),
+    ],
+    ids=["dim_string", "dim_bool", "flag_string", "index_empty", "bool_string"],
+)
+def test_documents_built_in_python_are_checked(ann, flags, node, key):
+    """A wrongly typed value gives InvalidFiltration naming its node and key,
+    not a TypeError, a Contradiction or a silently accepted document."""
+    doc = FiltrationDoc((FiltrationNode("only", ann),), flags)
+    for run in (normalize_doc, infer):
+        with pytest.raises(InvalidFiltration) as exc:
+            run(doc)
+        assert (exc.value.node, exc.value.key) == (node, key)
+
+
+_RULE_IDS = [rid for rid, _ in inference.RULES]
+TRUE_RANKS = {
+    **KNOWN_RANKS,
+    "nilpotent_special": (parse_filtration(load("nilpotent_special.filt")), (3, 2)),
+}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(TRUE_RANKS)), st.permutations(_RULE_IDS), st.sets(st.sampled_from(_RULE_IDS)))
+def test_any_rule_order_and_subset_keeps_the_true_ranks(name, order, disabled):
+    """The rules are sound one by one: in any order and with any subset
+    switched off, every total rr and tsr interval contains the true rank of
+    each document with known ranks, and no rule meets a Contradiction."""
+    doc, truth = TRUE_RANKS[name]
+    rules = dict(inference.RULES)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "RULES", tuple((rid, rules[rid]) for rid in order if rid not in disabled))
+        table = infer(doc)
+    for (lo, hi), value in zip((table.rr_interval(), table.tsr_interval()), truth):
+        assert lo <= value and (hi is None or value <= hi)
 
 
 @pytest.mark.parametrize("L", [axb(), heisenberg(1), abelian(3)], ids=["axb", "heisenberg_1", "abelian_3"])
@@ -483,11 +582,11 @@ class TestParsing:
 
     def test_duplicate_node_name(self):
         text = "filtration 1\nnode a\nnode a\n"
-        with pytest.raises(FiltrationParseError):
+        with pytest.raises(InvalidFiltration, match="^line 3: duplicate node name 'a'$"):
             parse_filtration(text)
 
     def test_empty_node_list(self):
-        with pytest.raises(FiltrationParseError):
+        with pytest.raises(InvalidFiltration, match="^line 1: a filtration needs at least one node$"):
             parse_filtration("filtration 1\n")
 
     def test_attr_before_node(self):
@@ -495,11 +594,11 @@ class TestParsing:
             parse_filtration("filtration 1\nattr kind = generic\n")
 
     def test_fiber_infinite_only(self):
-        with pytest.raises(FiltrationParseError):
+        with pytest.raises(InvalidFiltration, match="^line 3: spectrum_dim must be a natural number or unknown$"):
             parse_filtration("filtration 1\nnode a\nattr spectrum_dim = infinite\n")
 
     def test_index_to_below_values(self):
-        with pytest.raises(FiltrationParseError, match="index_to_below must be zero, nonzero or unknown"):
+        with pytest.raises(InvalidFiltration, match="^line 4: index_to_below must be zero, nonzero or unknown$"):
             parse_filtration("filtration 1\nnode a\nnode b\nattr index_to_below = -1\n")
         doc = parse_filtration("filtration 1\nnode a\nattr index_to_below = zero\nnode b\nattr index_to_below = unknown\n")
         assert [n.ann.index_to_below for n in doc.nodes] == ["zero", None]
@@ -524,7 +623,7 @@ class TestParsing:
         assert infer(jdoc).snapshot() == infer(doc).snapshot()
 
     def test_json_rejects_bad_values(self):
-        with pytest.raises(FiltrationParseError):
+        with pytest.raises(InvalidFiltration, match="^nodes\\[0\\]\\.attrs\\.separable: separable must be true, false or unknown$"):
             parse_filtration_json('{"filtration": 1, "nodes": [{"name": "a", "attrs": {"separable": 3}}]}')
         with pytest.raises(FiltrationParseError):
             parse_filtration_json('{"filtration": 2, "nodes": []}')
